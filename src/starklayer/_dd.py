@@ -41,11 +41,6 @@ def two_prod(a, b):
     return p, err
 
 
-def dd(a, b=0.0):
-    """Build a double-double from one or two floats."""
-    return two_sum(a, b)
-
-
 def add(x, y):
     xh, xl = x
     yh, yl = y
@@ -62,13 +57,6 @@ def mul(x, y):
     yh, yl = y
     p, e = two_prod(xh, yh)
     e = e + (xh * yl + xl * yh)
-    return quick_two_sum(p, e)
-
-
-def mul_float(x, f):
-    xh, xl = x
-    p, e = two_prod(xh, f)
-    e = e + xl * f
     return quick_two_sum(p, e)
 
 

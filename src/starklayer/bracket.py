@@ -9,6 +9,7 @@ spectrum edge certifies one eigenvalue (two for angular order m >= 1).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -110,60 +111,40 @@ def count_certified(params: WaveguideParams) -> int:
     if params.a <= 0.0:
         return 0
     win = window(params)
-    below = win.upper
-    a = params.a
-
-    total = 0
-    n_have = 0
-    batch = 4
-    while True:
-        nd = levels(params, BoundaryType.NEUMANN_DIRICHLET, n_have + batch)[n_have:]
-        for lvl in nd:
-            room = below - lvl.lam
-            if room <= 0.0:
-                return total
-            xmax = a * math.sqrt(room)
-            m = 0
-            while True:
-                if m > specfun.MAX_BESSEL_ORDER:
-                    raise specfun.UnsupportedOrderError(
-                        f"window radius a={a} requires angular orders beyond "
-                        f"{specfun.MAX_BESSEL_ORDER}")
-                if specfun.bessel_zero(m, 1) >= xmax:
-                    break
-                k = 1
-                while specfun.bessel_zero(m, k) < xmax:
-                    total += 1 if m == 0 else 2
-                    k += 1
-                m += 1
-        n_have += batch
+    # Interlacing lambda_ND,2 > lambda_DD,1 = edge: only n = 1 lies below it.
+    # Past the order cap the count would be silently truncated, so refuse.
+    if specfun.bessel_zero(specfun.MAX_BESSEL_ORDER, 1) < params.a * math.sqrt(win.gap):
+        raise specfun.UnsupportedOrderError(
+            f"window radius a={params.a} requires angular orders beyond "
+            f"{specfun.MAX_BESSEL_ORDER}")
+    ests = dirichlet_disc_levels(params, win.upper, 1, specfun.MAX_BESSEL_ORDER,
+                                 specfun.MAX_BESSEL_ZERO_INDEX)
+    return sum(e.multiplicity for e in ests)
 
 
 def sorted_bessel_zeros(count: int) -> list[float]:
     """First ``count`` positive zeros of all ``J_m`` merged and sorted ascending.
 
-    Ties (none exist analytically) would resolve to the smaller order.
+    Ties (none exist analytically) resolve to the smaller order.
     """
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    ceiling = specfun.bessel_zero(0, count)  # x(i) <= x_{0,i}
+    heap = [(specfun.bessel_zero(0, 1), 0, 1)]
     zeros = []
-    m = 0
     while True:
-        if m > specfun.MAX_BESSEL_ORDER:
-            raise specfun.UnsupportedOrderError(
-                f"sorted zero list of length {count} requires orders beyond "
-                f"{specfun.MAX_BESSEL_ORDER}")
-        if specfun.bessel_zero(m, 1) > ceiling:
-            break
-        k = 1
-        while specfun.bessel_zero(m, k) <= ceiling:
-            zeros.append((specfun.bessel_zero(m, k), m, k))
-            k += 1
-        m += 1
-    zeros.sort(key=lambda t: (t[0], t[1]))
-    return [z[0] for z in zeros[:count]]
+        x, m, k = heapq.heappop(heap)
+        zeros.append(x)
+        if len(zeros) == count:
+            return zeros
+        heapq.heappush(heap, (specfun.bessel_zero(m, k + 1), m, k + 1))
+        if k == 1:
+            # j_{m,1} < j_{m+1,1}: order m+1 cannot come earlier than this.
+            if m == specfun.MAX_BESSEL_ORDER:
+                raise specfun.UnsupportedOrderError(
+                    f"sorted zero list of length {count} requires orders beyond "
+                    f"{specfun.MAX_BESSEL_ORDER}")
+            heapq.heappush(heap, (specfun.bessel_zero(m + 1, 1), m + 1, 1))
 
 
 def sufficient_radius(params: WaveguideParams, i: int) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -334,10 +335,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     config = config_from_args(args)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            return run(config, out=fh)
-    return run(config)
+    if args.out is None:
+        return run(config)
+    # Write beside the target and rename only on success, so a failed run
+    # neither creates nor truncates the output file.
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            code = run(config, out=fh)
+        if code == 0:
+            os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return code
 
 
 if __name__ == "__main__":

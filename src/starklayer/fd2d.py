@@ -13,9 +13,10 @@ truncated full window problem (Neumann on the bottom only inside the window;
 its eigenvalues are upper bounds of the untruncated layer, decreasing in the
 truncation radius).
 
-Eigenpairs come from shift-invert power iteration with deflation at the fixed
-shift ``0.9 * lambda_inf_1``; the inner solves use a sparse LU factorization,
-so runs are deterministic.
+Eigenpairs come from ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert
+mode at the fixed shift ``0.9 * lambda_inf_1``; the shifted matrix is
+factorized once by sparse LU and the start vector is fixed, so runs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .bracket import SpectralWindow, window
 from .transverse import WaveguideParams, _nd_ground_cached
@@ -45,11 +46,10 @@ __all__ = [
 ]
 
 EIG_RESIDUAL_TOL = 1e-8
-_POWER_SEED = 20240117
 
 
 class ConvergenceError(RuntimeError):
-    """Eigeniteration hit the iteration cap; carries the best iterate."""
+    """Eigensolver did not converge; carries the best value and residual."""
 
     def __init__(self, message, best_value=None, best_residual=None):
         super().__init__(message)
@@ -218,11 +218,14 @@ class EigResult:
 
 def lowest_eigs(op: CylOperator, k: int, tol: float = 1e-10,
                 max_iter: int = 20000) -> EigResult:
-    """k smallest eigenpairs by deflated shift-invert power iteration.
+    """k smallest eigenpairs by ARPACK in shift-invert mode.
 
-    Fixed shift ``0.9 * lambda_inf_1``; stops when the eigenvalue change is
-    below ``tol`` and the residual is below ``1e-8``, else raises
-    :class:`ConvergenceError` with the best iterate.
+    The fixed shift ``0.9 * lambda_inf_1`` is factorized once by sparse LU
+    and the Lanczos start vector is all ones, so runs are deterministic.
+    ``tol`` and ``max_iter`` are ARPACK's relative Ritz tolerance and restart
+    cap.  Residuals are ``|A u - lambda u|`` for unit ``u``; if ARPACK stops
+    early or any residual exceeds ``EIG_RESIDUAL_TOL``, raises
+    :class:`ConvergenceError` with the pair of smallest residual.
     """
     k = int(k)
     if not 1 <= k <= 10:
@@ -231,46 +234,27 @@ def lowest_eigs(op: CylOperator, k: int, tol: float = 1e-10,
     n = m.shape[0]
     shift = 0.9 * _nd_ground_cached(op.params).lam
     lu = splu(sp.csc_matrix(m - shift * sp.identity(n, format="csc")))
-
-    rng = np.random.default_rng(_POWER_SEED)
-    basis: list[np.ndarray] = []
-    values: list[float] = []
-    residuals: list[float] = []
-
-    for _ in range(k):
-        v = rng.standard_normal(n)
-        for b in basis:
-            v -= (b @ v) * b
-        v /= np.linalg.norm(v)
-        lam_prev = math.inf
-        lam = math.inf
-        res = math.inf
-        for it in range(max_iter):
-            u = lu.solve(v)
-            for b in basis:
-                u -= (b @ u) * b
-            for b in basis:
-                u -= (b @ u) * b
-            u /= np.linalg.norm(u)
-            mu = m @ u
-            lam = float(u @ mu)
-            res = float(np.linalg.norm(mu - lam * u))
-            v = u
-            if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)) and res <= EIG_RESIDUAL_TOL:
-                break
-            lam_prev = lam
-        else:
-            raise ConvergenceError(
-                f"eigenpair did not converge in {max_iter} iterations "
-                f"(best value {lam}, residual {res})",
-                best_value=lam, best_residual=res)
-        basis.append(v)
-        values.append(lam)
-        residuals.append(res)
-
+    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    try:
+        values, vectors = eigsh(m, k, sigma=shift, OPinv=opinv, v0=np.ones(n),
+                                tol=tol, maxiter=max_iter)
+        failure = None
+    except ArpackNoConvergence as exc:
+        values, vectors = exc.eigenvalues, exc.eigenvectors
+        failure = f"ARPACK converged {len(values)} of {k} eigenpairs in {max_iter} iterations"
     order = np.argsort(values)
-    return EigResult(values=[values[i] for i in order],
-                     residuals=[residuals[i] for i in order],
+    values = values[order]
+    vectors = vectors[:, order] / np.linalg.norm(vectors[:, order], axis=0)
+    residuals = [float(r) for r in np.linalg.norm(m @ vectors - vectors * values, axis=0)]
+    if failure is None and max(residuals) > EIG_RESIDUAL_TOL:
+        failure = f"eigenpair residual {max(residuals)} above {EIG_RESIDUAL_TOL}"
+    if failure is not None:
+        best = int(np.argmin(residuals)) if residuals else None
+        raise ConvergenceError(
+            failure,
+            best_value=None if best is None else float(values[best]),
+            best_residual=None if best is None else residuals[best])
+    return EigResult(values=[float(v) for v in values], residuals=residuals,
                      grid=op.grid, bc=op.bc)
 
 

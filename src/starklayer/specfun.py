@@ -14,14 +14,10 @@ Evaluation strategy
   precision.  For ``x > 0`` results are stored scaled by ``exp(±xi)``,
   ``xi = (2/3) x**1.5``, so both the decaying and the growing solution stay
   representable for ``x`` up to at least ``1e4``.
-* Bessel ``J_m``: double-double ascending series for the low orders at small
-  argument, Hankel modulus/phase asymptotics for large argument, upward
-  recurrence for ``m <= x``, and Miller's downward recurrence (normalized by
-  the unit sum rule ``J_0 + 2*J_2 + 2*J_4 + ... = 1``) for ``m > x``.
-* Bessel zeros: McMahon guesses refined by safeguarded Newton for ``m = 0``;
-  for ``m >= 1`` brackets come from the interlacing with the zeros of
-  ``J_{m-1}``, which pins the index ``k`` unambiguously.  Results are
-  memoized in a lock-protected table.
+* Bessel ``J_m`` and its zeros: ``scipy.special.jv`` and
+  ``scipy.special.jn_zeros``, behind the order and index caps.  Zeros are
+  memoized in a lock-protected table, filled a whole prefix of indices at a
+  time.
 
 Relative-error statements for the oscillatory regimes are with respect to the
 local envelope (any fixed-precision value has unbounded relative error at a
@@ -35,6 +31,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special as _sps
 
 from . import _dd
 
@@ -389,94 +386,6 @@ def _airy_zero_inner(kind: str, n: int) -> float:
 # Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
-def _bessel_series_dd(m: int, x: float) -> float:
-    """Ascending series for J_0/J_1 in double-double (safe for x <= 16)."""
-    q = _dd.div_float(_dd.two_prod(x, x), -4.0)
-    t = (1.0, 0.0) if m == 0 else _dd.div_float((x, 0.0), 2.0)
-    total = t
-    for k in range(1, 80):
-        t = _dd.div_float(_dd.mul(t, q), float(k * (k + m)))
-        total = _dd.add(total, t)
-        if abs(t[0]) < 1e-36 * abs(total[0]) + 1e-320:
-            break
-    return _dd.to_float(total)
-
-
-def _bessel_hankel(m: int, x: float) -> float:
-    """Hankel modulus/phase asymptotics for J_0/J_1, x > 16."""
-    mu = 4.0 * m * m
-    p_sum, q_sum = 1.0, 0.0
-    term = 1.0
-    prev = math.inf
-    for j in range(1, 40):
-        term *= (mu - (2 * j - 1) ** 2) / (j * 8.0 * x)
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        sgn = 1.0 if (j // 2) % 2 == 0 else -1.0
-        if j % 2 == 1:
-            q_sum += sgn * term
-        else:
-            p_sum += sgn * term
-    chi = x - (2 * m + 1) * math.pi / 4.0
-    return math.sqrt(2.0 / (math.pi * x)) * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
-
-
-def _bessel_low(m: int, x: float) -> float:
-    return _bessel_series_dd(m, x) if x <= 16.0 else _bessel_hankel(m, x)
-
-
-def _bessel_ascending(m: int, x: float) -> float:
-    """Plain ascending series; only used where terms decrease from the start."""
-    t = 1.0
-    for i in range(1, m + 1):
-        t *= x / (2.0 * i)
-        if t == 0.0:
-            return 0.0
-    total = t
-    q = -0.25 * x * x
-    for k in range(1, 200):
-        t *= q / (k * (k + m))
-        total += t
-        if abs(t) <= 1e-18 * abs(total):
-            break
-    return total
-
-
-def _bessel_miller(m: int, x: float) -> float:
-    """Downward recurrence with unit-sum normalization, for m > x."""
-    value = 0.0
-    offset = 18
-    last = None
-    while offset <= 2400:
-        start = m + offset + int(2.0 * math.sqrt(m))
-        jp1 = 0.0
-        jk = 1e-30
-        target = 0.0
-        total = 0.0
-        for k in range(start, 0, -1):
-            jm1 = (2.0 * k / x) * jk - jp1
-            jp1, jk = jk, jm1
-            if k - 1 == m:
-                target = jk
-            if (k - 1) % 2 == 0 and k - 1 > 0:
-                total += 2.0 * jk
-            if abs(jk) > 1e250:
-                jk *= 1e-250
-                jp1 *= 1e-250
-                total *= 1e-250
-                target *= 1e-250
-        total += jk  # J_0 term of the sum rule
-        if m == 0:
-            target = jk
-        value = target / total
-        if last is not None and abs(value - last) <= 1e-15 * max(abs(value), 1e-300):
-            return value
-        last = value
-        offset *= 2
-    return value
-
-
 def bessel_j(m: int, x: float) -> float:
     """Bessel function of the first kind ``J_m(x)`` for ``0 <= m <= 64``, ``x >= 0``.
 
@@ -488,35 +397,7 @@ def bessel_j(m: int, x: float) -> float:
     x = float(x)
     if not (x >= 0.0 and math.isfinite(x)):
         raise ValueError("argument must be finite and nonnegative")
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if m <= 1:
-        return _bessel_low(m, x)
-    if 0.25 * x * x <= 0.25 * (m + 1):
-        return _bessel_ascending(m, x)
-    if x >= m:
-        jm1 = _bessel_low(0, x)
-        jk = _bessel_low(1, x)
-        for k in range(1, m):
-            jm1, jk = jk, (2.0 * k / x) * jk - jm1
-        return jk
-    return _bessel_miller(m, x)
-
-
-def _bessel_jprime(m: int, x: float) -> float:
-    if m == 0:
-        return -bessel_j(1, x)
-    return bessel_j(m - 1, x) - (m / x) * bessel_j(m, x)
-
-
-def _mcmahon(m: int, k: int) -> float:
-    beta = (k + 0.5 * m - 0.25) * math.pi
-    mu = 4.0 * m * m
-    b8 = 8.0 * beta
-    c1 = (mu - 1.0) / b8
-    c2 = 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8 ** 3)
-    c3 = 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * b8 ** 5)
-    return beta - c1 - c2 - c3
+    return float(_sps.jv(m, x))
 
 
 @dataclass
@@ -524,6 +405,7 @@ class BesselZeroTable:
     """Memo table (m, k) -> k-th positive zero of J_m, internally synchronized."""
 
     entries: dict = field(default_factory=dict)
+    _highest: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def get(self, m: int, k: int):
@@ -533,6 +415,12 @@ class BesselZeroTable:
     def put(self, m: int, k: int, value: float) -> None:
         with self._lock:
             self.entries[(m, k)] = value
+            self._highest[m] = max(self._highest.get(m, 0), k)
+
+    def highest(self, m: int) -> int:
+        """Highest zero index stored for order ``m`` (0 when none)."""
+        with self._lock:
+            return self._highest.get(m, 0)
 
 
 _DEFAULT_ZEROS = BesselZeroTable()
@@ -552,23 +440,14 @@ def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
     if cached is not None:
         return cached
 
-    if m == 0:
-        # McMahon guesses are within ~0.05 of the true zeros (spacing ~pi),
-        # so midpoints of neighboring guesses bracket exactly one zero.
-        guess = _mcmahon(0, k)
-        lo = 0.5 * (_mcmahon(0, k - 1) + guess) if k >= 2 else 0.5
-        hi = 0.5 * (guess + _mcmahon(0, k + 1))
-    else:
-        # Interlacing: x_{m-1,k} < x_{m,k} < x_{m-1,k+1} pins the index.
-        lo = bessel_zero(m - 1, k, table)
-        hi = bessel_zero(m - 1, k + 1, table)
-        guess = min(max(_mcmahon(m, k), lo + 1e-12), hi - 1e-12)
-
-    f = lambda x: bessel_j(m, x)  # noqa: E731
-    fp = lambda x: _bessel_jprime(m, x)  # noqa: E731
-    root = _newton_bracketed(f, fp, lo, hi, guess, 1e-13)
-    table.put(m, k, root)
-    return root
+    # Fetching at least twice the deepest cached index keeps an ascending
+    # k-sweep at O(log k) scipy calls; jn_zeros returns the same leading zeros
+    # whatever the count, so the memo does not depend on the call history.
+    count = min(max(k, 2 * table.highest(m)), MAX_BESSEL_ZERO_INDEX)
+    zeros = [float(z) for z in _sps.jn_zeros(m, count)]
+    for j, z in enumerate(zeros, start=1):
+        table.put(m, j, z)
+    return zeros[k - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Bracket levels, eigenvalue counting, thresholds, and figure-curve data."""
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
-from starklayer import bracket, specfun
-from starklayer.transverse import WaveguideParams
+from starklayer import bracket, cli, specfun
+from starklayer.transverse import BoundaryType, WaveguideParams, levels
 
 PI = math.pi
 
@@ -96,6 +99,21 @@ def test_count_nondecreasing_in_radius():
     assert all(x <= y for x, y in zip(counts, counts[1:]))
 
 
+@pytest.mark.parametrize("a", [0.5, 2.0, 10.0, 40.0])
+def test_count_is_sum_of_cli_bracket_multiplicities(a):
+    buf = io.StringIO()
+    argv = ["bracket", "--F", "0", "--d", repr(PI), "--a", repr(a), "--format", "json"]
+    assert cli.run(cli.config_from_args(cli._build_parser().parse_args(argv)), out=buf) == 0
+    estimates = json.loads(buf.getvalue())["estimates"]
+    count = bracket.count_certified(WaveguideParams(F=0.0, d=PI, a=a))
+    assert count == sum(e["multiplicity"] for e in estimates)
+
+
+def test_count_refuses_radius_past_the_order_cap():
+    with pytest.raises(specfun.UnsupportedOrderError):
+        bracket.count_certified(WaveguideParams(F=0.0, d=PI, a=100.0))
+
+
 def test_sorted_zeros_merge_all_orders():
     zs = bracket.sorted_bessel_zeros(6)
     assert zs == sorted(zs)
@@ -103,6 +121,30 @@ def test_sorted_zeros_merge_all_orders():
     assert zs[1] == pytest.approx(specfun.bessel_zero(1, 1), abs=1e-14)
     assert zs[2] == pytest.approx(specfun.bessel_zero(2, 1), abs=1e-14)
     assert zs[3] == pytest.approx(specfun.bessel_zero(0, 2), abs=1e-14)
+
+
+def test_sorted_zeros_match_independent_merge():
+    merged = sorted((float(z), m) for m in range(30) for z in jn_zeros(m, 50))
+    assert bracket.sorted_bessel_zeros(50) == [z for z, _ in merged[:50]]
+
+
+def test_sorted_zeros_fail_only_past_the_order_cap():
+    # Order 64 first enters the merge at its first zero; one more zero needs order 65.
+    cap_zero = specfun.bessel_zero(specfun.MAX_BESSEL_ORDER, 1)
+    n_below = sum(1 for m in range(specfun.MAX_BESSEL_ORDER + 1)
+                  for k in range(1, 40) if specfun.bessel_zero(m, k) <= cap_zero)
+    assert bracket.sorted_bessel_zeros(n_below)[-1] == cap_zero
+    with pytest.raises(specfun.UnsupportedOrderError):
+        bracket.sorted_bessel_zeros(n_below + 1)
+
+
+@pytest.mark.parametrize("d", [1.0, PI])
+@pytest.mark.parametrize("F", [0.0, 1e-2, 1.0, 1e2, 1e3])
+def test_nd_dd_interlacing(F, d):
+    p = WaveguideParams(F=F, d=d)
+    nd = levels(p, BoundaryType.NEUMANN_DIRICHLET, 2)
+    dd = levels(p, BoundaryType.DIRICHLET_DIRICHLET, 1)
+    assert nd[0].lam < dd[0].lam < nd[1].lam
 
 
 def test_sufficient_radius_frozen_value():

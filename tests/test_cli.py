@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from starklayer import cli
+from starklayer import cli, fd2d
 
 PI_STR = "3.141592653589793"
 
@@ -156,6 +156,40 @@ def test_output_file(tmp_path):
                      "--count", "2", "--out", str(target)])
     assert code == 0
     assert target.read_text().splitlines()[1] == "1,1.0"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["certify", "--F", "1", "--d", "1", "--a", "0"], 2),
+    (["bracket", "--F", "0", "--d", PI_STR, "--a", "100"], 1),
+])
+def test_output_file_untouched_on_failure(tmp_path, argv, code):
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main(argv + ["--out", str(fresh)]) == code
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("previous\n")
+    assert cli.main(argv + ["--out", str(kept)]) == code
+    assert kept.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
+def test_threshold_past_twenty_three_curves():
+    code, text = run_capture(["threshold", "--F", "0", "--d", PI_STR, "--i", "30"])
+    assert code == 0
+    radii = [float(line.split(",")[1]) for line in text.strip().splitlines()[1:]]
+    assert len(radii) == 30
+    assert all(a < b for a, b in zip(radii, radii[1:]))
+
+
+def test_solve2d_default_grid_three_window_levels(capsys):
+    code = cli.main(["solve2d", "--F", "1", "--d", PI_STR, "--a", "3",
+                     "--problem", "window", "--k", "3"])
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    values = [float(r[1]) for r in rows]
+    assert len(values) == 3
+    assert values == sorted(values)
+    assert all(float(r[2]) <= fd2d.EIG_RESIDUAL_TOL for r in rows)
 
 
 def test_emit_figure_requires_figure_command():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from starklayer import bracket, fd2d, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
@@ -145,16 +146,38 @@ def test_window_requires_positive_radius():
         fd2d.window_ground_state(WaveguideParams(F=0.0, d=PI, a=0.0))
 
 
-def test_lowest_eigs_validation_and_convergence_error():
+def test_lowest_eigs_validation_and_convergence_error(monkeypatch):
     p = WaveguideParams(F=0.0, d=PI, a=3.0)
     op = fd2d.assemble(p, fd2d.CylGrid(16, 16, 3.0, PI), fd2d.WindowBC(ID))
     with pytest.raises(ValueError):
         fd2d.lowest_eigs(op, 0)
     with pytest.raises(ValueError):
         fd2d.lowest_eigs(op, 11)
+
+    # ARPACK converges even at maxiter=1 on this grid, so stand in a solver
+    # that stops with one partial pair, as ArpackNoConvergence reports it.
+    u = np.ones((op.dimension, 1))
+    seen = {}
+
+    def stalled(A, k, **kwargs):
+        seen.update(kwargs)
+        raise ArpackNoConvergence("stalled", np.array([0.9]), u)
+
+    monkeypatch.setattr(fd2d, "eigsh", stalled)
     with pytest.raises(fd2d.ConvergenceError) as err:
         fd2d.lowest_eigs(op, 1, max_iter=1)
-    assert err.value.best_residual is not None
+    assert seen["maxiter"] == 1
+    unit = u[:, 0] / np.linalg.norm(u[:, 0])
+    assert err.value.best_value == 0.9
+    assert err.value.best_residual == pytest.approx(
+        np.linalg.norm(op.matrix @ unit - 0.9 * unit), rel=1e-12)
+
+    # A returned pair whose residual exceeds the bound is not accepted either.
+    monkeypatch.setattr(fd2d, "eigsh", lambda A, k, **kwargs: (np.array([0.9]), u))
+    with pytest.raises(fd2d.ConvergenceError) as err:
+        fd2d.lowest_eigs(op, 1)
+    assert err.value.best_value == 0.9
+    assert err.value.best_residual > fd2d.EIG_RESIDUAL_TOL
 
 
 def test_deterministic_eigensolver():

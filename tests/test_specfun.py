@@ -171,13 +171,37 @@ def test_bessel_order_and_index_caps():
         specfun.bessel_j(0, -1.0)
 
 
-def test_zero_table_memoization():
+def test_zero_table_memoization(monkeypatch):
+    real = specfun._sps.jn_zeros
+    calls = []
+
+    def first_call_only(m, n):
+        calls.append((m, n))
+        if len(calls) > 1:
+            raise AssertionError("memo hit expected, jn_zeros called again")
+        return real(m, n)
+
+    monkeypatch.setattr(specfun._sps, "jn_zeros", first_call_only)
     table = specfun.BesselZeroTable()
     val = specfun.bessel_zero(3, 2, table=table)
     assert table.entries[(3, 2)] == val
-    # interlacing construction fills the supporting orders too
-    assert (2, 2) in table.entries and (0, 2) in table.entries
     assert specfun.bessel_zero(3, 2, table=table) == val
+    assert len(calls) == 1
+
+
+def test_zero_table_ascending_sweep_fetches_geometrically(monkeypatch):
+    real = specfun._sps.jn_zeros
+    counts = []
+
+    def counting(m, n):
+        counts.append(n)
+        return real(m, n)
+
+    monkeypatch.setattr(specfun._sps, "jn_zeros", counting)
+    table = specfun.BesselZeroTable()
+    sweep = [specfun.bessel_zero(5, k, table=table) for k in range(1, 201)]
+    assert sweep == [float(z) for z in real(5, 200)]
+    assert counts == [1, 2, 4, 8, 16, 32, 64, 128, 256]
 
 
 def test_integrate_exact_cases():
