@@ -41,6 +41,7 @@ from .bracket import (
     dirichlet_disc_levels,
     figure_curves,
     sorted_bessel_zeros,
+    sufficient_radii,
     sufficient_radius,
     window,
 )

@@ -32,6 +32,7 @@ __all__ = [
     "dirichlet_disc_levels",
     "count_certified",
     "sufficient_radius",
+    "sufficient_radii",
     "sorted_bessel_zeros",
     "figure_curves",
 ]
@@ -153,12 +154,16 @@ def sufficient_radius(params: WaveguideParams, i: int) -> float:
     For ``a > a*_i`` at least ``i`` inner-cylinder curves dip below the
     essential-spectrum edge.
     """
+    return sufficient_radii(params, i)[-1]
+
+
+def sufficient_radii(params: WaveguideParams, i: int) -> list[float]:
+    """Threshold radii ``a*_1 .. a*_i`` from one merge of the Bessel zeros."""
     i = int(i)
     if i < 1:
         raise ValueError("curve index must be >= 1")
-    win = window(params)
-    x_i = sorted_bessel_zeros(i)[i - 1]
-    return x_i / math.sqrt(win.gap)
+    root_gap = math.sqrt(window(params).gap)
+    return [x / root_gap for x in sorted_bessel_zeros(i)]
 
 
 @dataclass(frozen=True)

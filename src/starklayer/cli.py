@@ -145,7 +145,7 @@ def _cmd_threshold(config: RunConfig):
     params = config.params()
     i = config.options["i"]
     win = bracket.window(params)
-    rows = [(j, bracket.sufficient_radius(params, j)) for j in range(1, i + 1)]
+    rows = list(enumerate(bracket.sufficient_radii(params, i), start=1))
     payload = {
         "method": "exact",
         "window": {"lower": win.lower, "upper": win.upper},

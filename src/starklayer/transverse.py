@@ -7,6 +7,13 @@ finite-difference oracle, and the weak/strong-field closed-form estimates.
 All determinant arithmetic runs on exponentially scaled Airy values with the
 common exponent factored out, so strong fields (``F**(1/3) * d`` large) never
 overflow; only a well-conditioned mantissa reaches the root finder.
+
+The solve works on whole arrays.  The sign scan evaluates its lambda grid a
+chunk at a time, one ``airy_grid`` call per chunk; all bracketed roots are
+refined together by the Illinois method, one call per round; and each
+composite-Simpson round of the normalization evaluates all the levels not
+yet converged together.  For F from 1e-2 to 1e4, ``levels(count=20)`` costs
+10 to 50 calls.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from . import specfun
 
@@ -44,6 +50,16 @@ NORM_TOL = 1e-11               # quadrature target for the L2 normalization
 # Below F = 1e-8 * (pi/d)^3 the Airy scaling degenerates numerically and the
 # spectrum is trigonometric to 1e-8 relative anyway.
 _TRIG_SWITCH = 1e-8
+
+# A root is refined until its bracket is narrower than _XTOL + _RTOL * |x|
+# (about four ulp), in at most _MAX_REFINE rounds.
+_XTOL = 1e-300
+_RTOL = 8.9e-16
+_MAX_REFINE = 200
+
+# Largest airy_grid call of the normalization (about 12 MB of temporaries);
+# a level whose Simpson grid is longer gets a call of its own.
+_NORM_CALL_POINTS = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -105,13 +121,17 @@ def _trig_level(params: WaveguideParams, bc: BoundaryType, n: int) -> Transverse
     return TransverseLevel(n=n, bc=bc, lam=lam, alpha=amp, beta=0.0, basis="trig")
 
 
-def _det_mantissa(params: WaveguideParams, bc: BoundaryType, lam: float) -> float:
-    """Scaled eigenvalue determinant; sign and zeros match the true determinant."""
+def _det_mantissa(params: WaveguideParams, bc: BoundaryType, lam):
+    """Scaled eigenvalue determinant at each ``lam``; sign and zeros match the true determinant.
+
+    One ``airy_grid`` call evaluates both walls of every ``lam``.
+    """
     w = params.F ** (1.0 / 3.0)
+    lam = np.asarray(lam, dtype=np.float64)
     z0 = -lam / w ** 2
     zd = w * params.d - lam / w ** 2
-    ai, aip, bi, bip, xi = specfun.airy_grid(np.array([z0, zd]))
-    damp = math.exp(2.0 * (xi[0] - xi[1]))  # <= 1 since zeta_0 < zeta_d
+    ai, aip, bi, bip, xi = specfun.airy_grid(np.stack([z0, zd]))
+    damp = np.exp(2.0 * (xi[0] - xi[1]))  # <= 1 since zeta_0 < zeta_d
     if bc is BoundaryType.DIRICHLET_DIRICHLET:
         return ai[0] * bi[1] - ai[1] * bi[0] * damp
     return aip[0] * bi[1] - bip[0] * ai[1] * damp
@@ -127,7 +147,13 @@ def _gap_estimate(params: WaveguideParams, lam: float) -> float:
     return math.pi * F / math.sqrt(lam)
 
 
-def _scan_roots(params: WaveguideParams, bc: BoundaryType, count: int):
+def _scan_roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]:
+    """First ``count`` determinant roots: a chunked sign scan, then lockstep refinement.
+
+    The grid steps by an eighth of the local gap, so consecutive levels are
+    always separated by a grid point and each root keeps its index.  Each
+    chunk of grid points costs one determinant call.
+    """
     # The first level sits at the larger of the box scale (pi/2d)^2 and the
     # tilted-well scale F^(2/3); evaluating the density-of-states gap there
     # (rather than at lambda -> 0, where it blows up) keeps the first scan
@@ -135,42 +161,86 @@ def _scan_roots(params: WaveguideParams, bc: BoundaryType, count: int):
     lam_floor = 0.5 * max((math.pi / (2.0 * params.d)) ** 2, 0.5 * params.F ** (2.0 / 3.0))
     max_steps = 20000 + 500 * count
 
-    roots = []
-    lam = 0.0
-    f_prev = _det_mantissa(params, bc, lam)
-    for _ in range(max_steps):
-        step = _gap_estimate(params, max(lam, lam_floor)) / 8.0
-        lam_next = lam + step
-        f_next = _det_mantissa(params, bc, lam_next)
-        if f_prev == 0.0:
-            roots.append(lam)
-        elif f_prev * f_next < 0.0:
-            root = brentq(lambda t: _det_mantissa(params, bc, t),
-                          lam, lam_next, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-            roots.append(root)
-        if len(roots) >= count:
-            return roots[:count]
-        lam, f_prev = lam_next, f_next
+    brackets = []   # (lo, hi, f_lo, f_hi); an exact grid zero is the bracket (x, x, 0, 0)
+    lam, f_prev = 0.0, np.empty(0)
+    steps, chunk = 0, 8 * count + 16
+    while steps < max_steps:
+        grid = [lam]
+        for _ in range(min(chunk, max_steps - steps)):
+            lam = lam + _gap_estimate(params, max(lam, lam_floor)) / 8.0
+            grid.append(lam)
+        steps += len(grid) - 1
+        f = np.concatenate((f_prev, _det_mantissa(params, bc, np.array(grid[f_prev.size:]))))
+        for i in np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0)):
+            j = i if f[i] == 0.0 else i + 1
+            brackets.append((grid[i], grid[j], f[i], f[j]))
+            if len(brackets) == count:
+                return _refine_roots(params, bc, np.array(brackets))
+        f_prev = f[-1:]
+        chunk *= 2
     raise SolverError(
-        f"determinant sign changed only {len(roots)} times in scanned interval [0, {lam}] "
+        f"determinant sign changed only {len(brackets)} times in scanned interval [0, {lam}] "
         f"(requested {count} levels, F={params.F}, d={params.d}, bc={bc.value})"
     )
 
 
-def _airy_level(params: WaveguideParams, bc: BoundaryType, n: int, lam: float) -> TransverseLevel:
+def _refine_roots(params: WaveguideParams, bc: BoundaryType, brackets: np.ndarray) -> list[float]:
+    """Refine every ``(lo, hi, f_lo, f_hi)`` bracket at once by the Illinois method.
+
+    Regula falsi that halves the value kept at an endpoint which stays put
+    twice in a row (Dowell & Jarratt, BIT 11, 1971); a secant point outside
+    its bracket falls back to bisection.  Each round costs one determinant
+    call over the brackets still open.  A root is done when the determinant
+    vanishes at it or its bracket is narrower than ``_XTOL + _RTOL * |x|``,
+    the test brentq makes.
+    """
+    a, b, fa, fb = (col.copy() for col in brackets.T)
+    x = a.copy()
+    side = np.zeros(a.shape, dtype=np.int8)   # -1: b moved last, +1: a moved last
+    todo = np.flatnonzero(a < b)
+    for _ in range(_MAX_REFINE):
+        if not todo.size:
+            break
+        lo, hi, flo, fhi, last = a[todo], b[todo], fa[todo], fb[todo], side[todo]
+        c = hi - fhi * (hi - lo) / (fhi - flo)
+        # Stay half a tolerance inside the bracket, so that a secant point
+        # which rounds onto a converged endpoint still closes the bracket.
+        nudge = 0.5 * (_XTOL + _RTOL * np.abs(c))
+        c = np.minimum(np.maximum(c, lo + nudge), hi - nudge)
+        c = np.where((c > lo) & (c < hi), c, lo + 0.5 * (hi - lo))
+        fc = _det_mantissa(params, bc, c)
+        on_hi = np.sign(fc) == np.sign(fhi)
+        on_lo = ~on_hi & (fc != 0.0)
+        x[todo] = c
+        a[todo] = np.where(on_lo, c, lo)
+        b[todo] = np.where(on_hi, c, hi)
+        fa[todo] = np.where(on_lo, fc, np.where(on_hi & (last == -1), 0.5 * flo, flo))
+        fb[todo] = np.where(on_hi, fc, np.where(on_lo & (last == 1), 0.5 * fhi, fhi))
+        side[todo] = np.where(on_hi, -1, np.where(on_lo, 1, last))
+        done = (fc == 0.0) | (b[todo] - a[todo] < _XTOL + _RTOL * np.abs(c))
+        todo = todo[~done]
+    if todo.size:
+        raise SolverError(
+            f"root refinement left {todo.size} brackets open after {_MAX_REFINE} rounds "
+            f"(F={params.F}, d={params.d}, bc={bc.value})"
+        )
+    return x.tolist()
+
+
+def _airy_levels(params: WaveguideParams, bc: BoundaryType, roots: list[float]) -> list[TransverseLevel]:
     w = params.F ** (1.0 / 3.0)
-    zd = w * params.d - lam / w ** 2
-    ai, aip, bi, bip, xi = specfun.airy_grid(np.array([zd]))
-    xid = float(xi[0])
-    pre_alpha = float(bi[0])                       # Bi(zeta_d) / e^{xi_d}
-    pre_beta = -float(ai[0]) * math.exp(-2.0 * xid)  # -Ai(zeta_d) / e^{xi_d}
+    lam = np.array(roots)
+    ai, aip, bi, bip, xi = specfun.airy_grid(w * params.d - lam / w ** 2)
+    pre_alpha = bi                                             # Bi(zeta_d) / e^{xi_d}
+    pre_beta = -ai * np.array([math.exp(-2.0 * t) for t in xi])  # -Ai(zeta_d) / e^{xi_d}
+    norm = _l2_norms(params, lam, pre_alpha, pre_beta)
+    return [TransverseLevel(n=k + 1, bc=bc, lam=float(lam[k]), alpha=float(pre_alpha[k] / norm[k]),
+                            beta=float(pre_beta[k] / norm[k]), basis="airy")
+            for k in range(lam.size)]
 
-    norm = _l2_norm(params, lam, pre_alpha, pre_beta)
-    return TransverseLevel(n=n, bc=bc, lam=lam,
-                           alpha=pre_alpha / norm, beta=pre_beta / norm, basis="airy")
 
-
-def _chi_airy(params: WaveguideParams, lam: float, alpha: float, beta: float, z, derivative: bool):
+def _chi_airy(params: WaveguideParams, lam, alpha, beta, z, derivative: bool):
+    # lam, alpha and beta are scalars, or columns that broadcast against z.
     w = params.F ** (1.0 / 3.0)
     z = np.asarray(z, dtype=np.float64)
     zeta = w * z - lam / w ** 2
@@ -217,25 +287,38 @@ def chi_prime(level: TransverseLevel, params: WaveguideParams, z):
     return float(out) if np.isscalar(z) else out
 
 
-def _l2_norm(params: WaveguideParams, lam: float, alpha: float, beta: float) -> float:
-    """L2 norm of alpha*u + beta*v over [0, d] by refining composite Simpson."""
+def _l2_norms(params: WaveguideParams, lam, alpha, beta) -> np.ndarray:
+    """L2 norms of ``alpha*u + beta*v`` over [0, d], one per level, by refining composite Simpson.
+
+    Every level doubles its panel count until two rounds agree to
+    ``NORM_TOL``.  A round evaluates the levels still open in as few
+    ``airy_grid`` calls as ``_NORM_CALL_POINTS`` allows.
+    """
     d = params.d
 
-    def sq_on(npanels):
+    def sq_on(npanels, idx):
         z = np.linspace(0.0, d, 2 * npanels + 1)
-        vals = _chi_airy(params, lam, alpha, beta, z, derivative=False) ** 2
         h = d / (2 * npanels)
-        return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum() + 2.0 * vals[2:-1:2].sum())
+        per_call = max(1, _NORM_CALL_POINTS // z.size)
+        out = []
+        for start in range(0, idx.size, per_call):
+            k = idx[start:start + per_call, None]
+            vals = _chi_airy(params, lam[k], alpha[k], beta[k], z, derivative=False) ** 2
+            out.append(h / 3.0 * (vals[:, 0] + vals[:, -1] + 4.0 * vals[:, 1::2].sum(axis=1)
+                                  + 2.0 * vals[:, 2:-1:2].sum(axis=1)))
+        return np.concatenate(out)
 
     n = 256
-    prev = sq_on(n)
-    while n <= 65536:
+    todo = np.arange(lam.size)
+    prev = sq_on(n, todo)
+    result = np.empty_like(prev)
+    while n <= 65536 and todo.size:
         n *= 2
-        cur = sq_on(n)
-        if abs(cur - prev) <= NORM_TOL * max(abs(cur), 1e-300):
-            return math.sqrt(cur)
-        prev = cur
-    return math.sqrt(prev)
+        cur = sq_on(n, todo)
+        result[todo] = cur   # the last round's value stands for a level that never settles
+        done = np.abs(cur - prev) <= NORM_TOL * np.maximum(np.abs(cur), 1e-300)
+        todo, prev = todo[~done], cur[~done]
+    return np.sqrt(result)
 
 
 def levels(params: WaveguideParams, bc: BoundaryType, count: int) -> list[TransverseLevel]:
@@ -245,8 +328,7 @@ def levels(params: WaveguideParams, bc: BoundaryType, count: int) -> list[Transv
         raise ValueError("count must be in 1..100")
     if _use_trig(params):
         return [_trig_level(params, bc, n) for n in range(1, count + 1)]
-    roots = _scan_roots(params, bc, count)
-    return [_airy_level(params, bc, n, lam) for n, lam in enumerate(roots, start=1)]
+    return _airy_levels(params, bc, _scan_roots(params, bc, count))
 
 
 def fd_levels_oracle(params: WaveguideParams, bc: BoundaryType, count: int, nodes: int) -> list[float]:

@@ -210,3 +210,26 @@ def test_emit_figure_writes_csv(tmp_path):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "a,curve1,curve2,curve3,edge"
     assert len(lines) == 4
+
+
+def test_threshold_merges_zeros_once(monkeypatch):
+    from starklayer import bracket
+    from starklayer.transverse import WaveguideParams
+
+    merge = bracket.sorted_bessel_zeros
+    merges = []
+
+    def counted(count):
+        merges.append(count)
+        return merge(count)
+
+    monkeypatch.setattr(bracket, "sorted_bessel_zeros", counted)
+    code, text = run_capture(["threshold", "--F", "0", "--d", PI_STR, "--i", "40"])
+    assert code == 0
+    assert merges == [40]
+    monkeypatch.setattr(bracket, "sorted_bessel_zeros", merge)
+    params = WaveguideParams(F=0.0, d=float(PI_STR))
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    assert [int(j) for j, _ in rows] == list(range(1, 41))
+    assert [float(v) for _, v in rows] == [bracket.sufficient_radius(params, j)
+                                           for j in range(1, 41)]

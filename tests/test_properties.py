@@ -1,0 +1,52 @@
+"""Analytic facts of the transverse spectra, checked over parameter ranges.
+
+Examples are drawn deterministically (``derandomize``) so every run checks
+the same points; F is drawn log-uniformly over [1e-2, 1e3].
+"""
+
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starklayer import transverse
+from starklayer.transverse import BoundaryType, WaveguideParams
+
+DD = BoundaryType.DIRICHLET_DIRICHLET
+ND = BoundaryType.NEUMANN_DIRICHLET
+
+FIELDS = st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)
+WIDTHS = st.floats(0.5, 4.0)
+WALLS = st.sampled_from([DD, ND])
+
+PROPERTY = settings(max_examples=10, deadline=timedelta(seconds=5),
+                    derandomize=True, database=None)
+
+
+def _lams(F, d, bc, count):
+    return [lvl.lam for lvl in transverse.levels(WaveguideParams(F=F, d=d), bc, count)]
+
+
+@PROPERTY
+@given(F=FIELDS, d=WIDTHS, s=st.floats(0.5, 2.0), bc=WALLS)
+def test_scaling_law(F, d, s, bc):
+    # lambda(F, d) = s^-2 lambda(s^3 F, d / s): the operator in units of s.
+    lam = _lams(F, d, bc, 3)
+    scaled = [v / s ** 2 for v in _lams(s ** 3 * F, d / s, bc, 3)]
+    assert scaled == pytest.approx(lam, rel=2 * transverse.LEVEL_REL_TOL)
+
+
+@PROPERTY
+@given(F=FIELDS, d=WIDTHS, bc=WALLS)
+def test_levels_strictly_increasing(F, d, bc):
+    lam = _lams(F, d, bc, 6)
+    assert all(a < b for a, b in zip(lam, lam[1:]))
+
+
+@PROPERTY
+@given(F=FIELDS, d=WIDTHS)
+def test_mixed_and_dirichlet_levels_interlace(F, d):
+    nd = _lams(F, d, ND, 2)
+    dd = _lams(F, d, DD, 1)
+    assert nd[0] < dd[0] < nd[1]

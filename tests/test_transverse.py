@@ -1,9 +1,13 @@
 """Transverse Stark spectra: closed forms, oracle agreement, invariants."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from starklayer import specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
@@ -205,7 +209,82 @@ def test_levels_count_validation():
 
 
 def test_bracketing_failure_reports_interval(monkeypatch):
-    monkeypatch.setattr(transverse, "_det_mantissa", lambda *a: 1.0)
+    monkeypatch.setattr(transverse, "_det_mantissa", lambda params, bc, lam: np.ones_like(lam))
     monkeypatch.setattr(transverse, "_gap_estimate", lambda *a: 8.0)
     with pytest.raises(transverse.SolverError, match="scanned interval"):
         transverse._scan_roots(WaveguideParams(F=1.0, d=1.0), DD, 1)
+
+
+@pytest.fixture
+def airy_calls(monkeypatch):
+    """Counts ``specfun.airy_grid`` calls, the unit of work of the transverse solve."""
+    calls = [0]
+    kernel = specfun.airy_grid
+
+    def counted(x):
+        calls[0] += 1
+        return kernel(x)
+
+    monkeypatch.setattr(specfun, "airy_grid", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bc", [DD, ND])
+@pytest.mark.parametrize("d", [1.0, PI])
+@pytest.mark.parametrize("F", [1e-2, 1.0, 1e2, 1e4])
+def test_twenty_levels_airy_call_budget(airy_calls, F, d, bc):
+    transverse.levels(WaveguideParams(F=F, d=d), bc, 20)
+    assert airy_calls[0] <= 64
+
+
+def test_ground_levels_airy_call_budget(airy_calls):
+    # The six solves behind the windows of the 2-D problems.
+    for F in (0.1, 1.0, 10.0):
+        for bc in (DD, ND):
+            transverse.levels(WaveguideParams(F=F, d=PI), bc, 1)
+    assert airy_calls[0] <= 102
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(transverse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, starklayer; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
+def _reference_roots(params, bc, count):
+    """The scan one grid point at a time, each bracket refined alone by brentq."""
+    def det(t):
+        return float(transverse._det_mantissa(params, bc, t))
+
+    floor = 0.5 * max((PI / (2.0 * params.d)) ** 2, 0.5 * params.F ** (2.0 / 3.0))
+    roots, lam, f_prev = [], 0.0, det(0.0)
+    while len(roots) < count:
+        lam_next = lam + transverse._gap_estimate(params, max(lam, floor)) / 8.0
+        f_next = det(lam_next)
+        if f_prev == 0.0:
+            roots.append(lam)
+        elif f_prev * f_next < 0.0:
+            roots.append(brentq(det, lam, lam_next, xtol=1e-300, rtol=8.9e-16, maxiter=200))
+        lam, f_prev = lam_next, f_next
+    return roots[:count]
+
+
+@pytest.mark.parametrize("bc", [DD, ND])
+@pytest.mark.parametrize("F", [1e-2, 1.0, 1e4])
+def test_lockstep_roots_match_scalar_reference(F, bc):
+    p = WaveguideParams(F=F, d=1.0)
+    lam = [lvl.lam for lvl in transverse.levels(p, bc, 5)]
+    assert lam == pytest.approx(_reference_roots(p, bc, 5), rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", [DD, ND])
+def test_batched_normalization_matches_one_level_at_a_time(bc):
+    p = WaveguideParams(F=3.0, d=PI)
+    batch = transverse.levels(p, bc, 6)
+    for lvl in batch:
+        (alone,) = transverse._airy_levels(p, bc, [lvl.lam])
+        assert (alone.alpha, alone.beta) == (lvl.alpha, lvl.beta)
