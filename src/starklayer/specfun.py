@@ -61,6 +61,8 @@ TOLERANCES = {
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ZERO_INDEX = 1000
 
+MAX_CALL_POINTS = 1 << 15   # abscissae per kernel or integrand call (airy_grid: about 12 MB)
+
 _SERIES_CUT = 8.0         # Maclaurin series for |x| <= cut, asymptotics beyond
 _SERIES_TERMS = 56
 _ASYM_TERMS = 40
@@ -457,53 +459,54 @@ def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
 _QUAD_MAX_DEPTH = 60
 
 
-def _simpson(fa, fm, fb, h):
-    return h * (fa + 4.0 * fm + fb) / 6.0
-
-
-def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth >= _QUAD_MAX_DEPTH:
-        raise QuadratureError(
-            f"quadrature failed to converge on [{a}, {b}] at depth {depth}",
-            best_estimate=left + right + delta / 15.0,
-        )
-    half = 0.5 * tol
-    return (_adaptive(f, a, m, fa, flm, fm, left, half, depth + 1)
-            + _adaptive(f, m, b, fm, frm, fb, right, half, depth + 1))
-
-
 def integrate(f, lo: float, hi: float, tol: float, breakpoints=()) -> float:
     """Adaptive composite Simpson estimate of ``int_lo^hi f`` with absolute error <= tol.
 
-    ``breakpoints`` splits the initial interval at caller-known kinks; raises
-    :class:`QuadratureError` (carrying the best estimate) past the depth cap.
+    ``f`` maps an array of abscissae to an array of the same shape.  The
+    interval, split at the kinks in ``breakpoints``, is bisected breadth first,
+    one ``f`` call per depth, and summed in depth-first order.  Past depth
+    ``_QUAD_MAX_DEPTH``, or when a depth would need more than ``MAX_CALL_POINTS``
+    abscissae, raises :class:`QuadratureError` carrying the whole estimate.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = float(lo), float(hi)
     if not (lo < hi):
         raise ValueError("integrate requires lo < hi")
     if not tol > 0.0:
         raise ValueError("integrate requires tol > 0")
-    pts = [lo]
-    for p in sorted(float(p) for p in breakpoints):
-        if lo < p < hi:
-            pts.append(p)
-    pts.append(hi)
+    pts = np.array([lo] + sorted(p for p in map(float, breakpoints) if lo < p < hi) + [hi])
 
+    a, b = pts[:-1], pts[1:]
+    m = 0.5 * (a + b)
+    vals = f(np.concatenate((pts, m)))
+    fa, fb, fm = vals[:a.size], vals[1:pts.size], vals[pts.size:]
+    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    tol = tol / a.size
+    tiers = []   # per depth: (estimate of every interval, indices of the split ones)
+    for depth in range(_QUAD_MAX_DEPTH + 1):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        vals = f(np.concatenate((lm, rm)))
+        flm, frm = vals[:a.size], vals[a.size:]
+        left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
+        right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
+        delta = left + right - whole
+        split = np.flatnonzero(~(np.abs(delta) <= 15.0 * tol))   # NaN stays open
+        tiers.append((left + right + delta / 15.0, split))
+        if split.size == 0 or depth == _QUAD_MAX_DEPTH or 4 * split.size > MAX_CALL_POINTS:
+            break
+        # The halves of the j-th split interval sit at 2j and 2j+1.
+        halves = (np.array([a, lm, m, fa, flm, fm, left])[:, split],
+                  np.array([m, rm, b, fm, frm, fb, right])[:, split])
+        a, m, b, fa, fm, fb, whole = np.stack(halves, axis=2).reshape(7, -1)
+        tol = 0.5 * tol
+
+    est = tiers[-1][0]   # open intervals of the last depth count with their current estimate
+    for parent, split_ids in reversed(tiers[:-1]):
+        parent[split_ids] = est[0::2] + est[1::2]
+        est = parent
     total = 0.0
-    tol_seg = tol / (len(pts) - 1)
-    for a, b in zip(pts[:-1], pts[1:]):
-        fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-        whole = _simpson(fa, fm, fb, b - a)
-        total += _adaptive(f, a, b, fa, fm, fb, whole, tol_seg, 0)
+    for value in est.tolist():
+        total += value
+    if split.size:
+        raise QuadratureError(f"quadrature failed to converge on [{lo}, {hi}]: {split.size} "
+                              f"intervals open at depth {depth}", best_estimate=total)
     return total

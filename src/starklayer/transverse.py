@@ -57,10 +57,6 @@ _XTOL = 1e-300
 _RTOL = 8.9e-16
 _MAX_REFINE = 200
 
-# Largest airy_grid call of the normalization (about 12 MB of temporaries);
-# a level whose Simpson grid is longer gets a call of its own.
-_NORM_CALL_POINTS = 1 << 15
-
 
 class SolverError(RuntimeError):
     """Eigenvalue bracketing/refinement failure; message reports the scan window."""
@@ -292,14 +288,14 @@ def _l2_norms(params: WaveguideParams, lam, alpha, beta) -> np.ndarray:
 
     Every level doubles its panel count until two rounds agree to
     ``NORM_TOL``.  A round evaluates the levels still open in as few
-    ``airy_grid`` calls as ``_NORM_CALL_POINTS`` allows.
+    ``airy_grid`` calls as ``specfun.MAX_CALL_POINTS`` allows.
     """
     d = params.d
 
     def sq_on(npanels, idx):
         z = np.linspace(0.0, d, 2 * npanels + 1)
         h = d / (2 * npanels)
-        per_call = max(1, _NORM_CALL_POINTS // z.size)
+        per_call = max(1, specfun.MAX_CALL_POINTS // z.size)
         out = []
         for start in range(0, idx.size, per_call):
             k = idx[start:start + per_call, None]

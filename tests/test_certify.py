@@ -142,6 +142,23 @@ def test_certify_basic_negative_value():
     assert cert.q_value == pytest.approx(decomposition, rel=1e-6)
 
 
+@pytest.mark.parametrize("F, d, a", [(1.0, 1.0, 1.0), (10.0, 1.0, 1.0), (100.0, 1.0, 0.05),
+                                     (1.0, PI, 3.0)])
+def test_certify_airy_call_budget(monkeypatch, F, d, a):
+    p = WaveguideParams(F=F, d=d, a=a)
+    certify.certify(p)  # caches the transverse ground states
+    calls = [0]
+    kernel = specfun.airy_grid
+
+    def counted(x):
+        calls[0] += 1
+        return kernel(x)
+
+    monkeypatch.setattr(specfun, "airy_grid", counted)
+    assert certify.certify(p).valid
+    assert calls[0] <= 32
+
+
 def test_certify_accepts_field_free_configuration():
     cert = certify.certify(WaveguideParams(F=0.0, d=PI, a=1.0))
     assert cert.q_value < 0.0

@@ -1,24 +1,28 @@
-"""Analytic facts of the transverse spectra, checked over parameter ranges.
+"""Analytic facts of the transverse spectra and certificates, checked over parameter ranges.
 
 Examples are drawn deterministically (``derandomize``) so every run checks
-the same points; F is drawn log-uniformly over [1e-2, 1e3].
+the same points; F is drawn log-uniformly over [1e-2, 1e3] (over {0} and
+[1e-2, 1e2] for certificates), the window radius log-uniformly over [0.05, 20].
 """
 
+import math
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starklayer import transverse
+from starklayer import certify, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
 
 DD = BoundaryType.DIRICHLET_DIRICHLET
 ND = BoundaryType.NEUMANN_DIRICHLET
 
 FIELDS = st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)
+CERTIFY_FIELDS = st.just(0.0) | st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
 WIDTHS = st.floats(0.5, 4.0)
 WALLS = st.sampled_from([DD, ND])
+RADII = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
 
 PROPERTY = settings(max_examples=10, deadline=timedelta(seconds=5),
                     derandomize=True, database=None)
@@ -50,3 +54,13 @@ def test_mixed_and_dirichlet_levels_interlace(F, d):
     nd = _lams(F, d, ND, 2)
     dd = _lams(F, d, DD, 1)
     assert nd[0] < dd[0] < nd[1]
+
+
+@PROPERTY
+@given(F=CERTIFY_FIELDS, d=WIDTHS, a=RADII)
+def test_certificate_is_negative_and_matches_its_decomposition(F, d, a):
+    cert = certify.certify(WaveguideParams(F=F, d=d, a=a))
+    assert cert.valid
+    spec = cert.spec
+    decomposition = cert.coeff_A * spec.tau + cert.coeff_B * spec.eps ** 2 - cert.coeff_C * spec.eps
+    assert abs(cert.q_value - decomposition) <= 1e-6 * abs(cert.q_value)

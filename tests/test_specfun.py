@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from starklayer import specfun
+from starklayer import certify, specfun
+from starklayer.transverse import WaveguideParams
 
 import oracles
 
@@ -205,10 +206,10 @@ def test_zero_table_ascending_sweep_fetches_geometrically(monkeypatch):
 
 
 def test_integrate_exact_cases():
-    assert specfun.integrate(lambda _: 1.0, 0.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-14)
+    assert specfun.integrate(np.ones_like, 0.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-14)
     d = 1.7
     assert specfun.integrate(lambda z: z, 0.0, d, 1e-12) == pytest.approx(d * d / 2.0, abs=1e-13)
-    assert specfun.integrate(math.sin, 0.0, math.pi, 1e-10) == pytest.approx(2.0, abs=5e-10)
+    assert specfun.integrate(np.sin, 0.0, math.pi, 1e-10) == pytest.approx(2.0, abs=5e-10)
 
 
 def test_integrate_breakpoints_handle_kinks():
@@ -219,10 +220,85 @@ def test_integrate_breakpoints_handle_kinks():
 
 
 def test_integrate_failure_carries_best_estimate():
-    f = lambda t: t ** -0.5 if t > 0 else 0.0  # noqa: E731
+    f = lambda t: np.where(t > 0, t, np.inf) ** -0.5  # noqa: E731
     with pytest.raises(specfun.QuadratureError) as err:
         specfun.integrate(f, 0.0, 1.0, 1e-13)
     assert math.isfinite(err.value.best_estimate)
+
+
+def test_integrate_failure_estimates_the_whole_integral():
+    # int_0^1 t^-1/2 dt = 2: the estimate covers every interval, closed or open.
+    f = lambda t: np.where(t > 0, t, np.inf) ** -0.5  # noqa: E731
+    with pytest.raises(specfun.QuadratureError) as err:
+        specfun.integrate(f, 0.0, 1.0, 1e-13)
+    assert err.value.best_estimate == pytest.approx(2.0, abs=1e-3)
+
+
+def test_integrate_stops_at_the_call_point_cap():
+    sizes = []
+
+    def square_wave(t):
+        sizes.append(t.size)
+        return np.where(np.sin(1e9 * t) > 0.0, 1.0, -1.0)
+
+    with pytest.raises(specfun.QuadratureError) as err:
+        specfun.integrate(square_wave, 0.0, 1.0, 1e-13)
+    assert math.isfinite(err.value.best_estimate)
+    # One call per depth, none past the cap; the cap, not the depth limit,
+    # ended it: the last depth was too wide to split once more.
+    assert max(sizes) <= specfun.MAX_CALL_POINTS
+    assert len(sizes) < specfun._QUAD_MAX_DEPTH
+    assert sizes[-1] > specfun.MAX_CALL_POINTS // 2
+
+
+def _reference_integrate(f, lo, hi, tol):
+    """The depth-first recursive Simpson that integrate replaced, one abscissa per ``f`` call.
+
+    ``f`` gets one-element arrays: numpy's vectorised ``pow`` can round the
+    last bit differently from the scalar one, so scalars would compare the
+    integrands rather than the quadrature.
+    """
+    def point(x):
+        return float(f(np.array([x]))[0])
+
+    def simpson(fa, fm, fb, h):
+        return h * (fa + 4.0 * fm + fb) / 6.0
+
+    def adaptive(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        flm, frm = point(0.5 * (a + m)), point(0.5 * (m + b))
+        left = simpson(fa, flm, fm, m - a)
+        right = simpson(fm, frm, fb, b - m)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        assert depth < specfun._QUAD_MAX_DEPTH
+        return (adaptive(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
+                + adaptive(m, b, fm, frm, fb, right, 0.5 * tol, depth + 1))
+
+    fa, fm, fb = point(lo), point(0.5 * (lo + hi)), point(hi)
+    return 0.0 + adaptive(lo, hi, fa, fm, fb, simpson(fa, fm, fb, hi - lo), tol, 0)
+
+
+@pytest.mark.parametrize("F, d, a", [(0.01, 1.0, 20.0), (100.0, 1.0, 0.05), (0.0, 1.0, 1.0),
+                                     (0.1, 2.0, 0.5), (1e-3, math.pi, 10.0), (3.0, 0.5, 2.0),
+                                     (0.014150474976540563, 1.0, 2.7666063388435504)])
+def test_integrate_matches_recursive_reference_on_certify_integrands(monkeypatch, F, d, a):
+    # Every integral of a certificate: the bump blocks, chi_1 and (F z - lam) chi_1.
+    calls = []
+    breadth_first = specfun.integrate
+
+    def recorded(f, lo, hi, tol):
+        value = breadth_first(f, lo, hi, tol)
+        calls.append((f, lo, hi, tol, value))
+        return value
+
+    monkeypatch.setattr(specfun, "integrate", recorded)
+    certify.certify(WaveguideParams(F=F, d=d, a=a))
+    assert len(calls) == 11
+    for f, lo, hi, tol, value in calls:
+        assert type(value) is float
+        assert value == _reference_integrate(f, lo, hi, tol)
 
 
 def test_integrate_validates_input():
