@@ -16,7 +16,8 @@ truncation radius).
 Eigenpairs come from ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert
 mode at the fixed shift ``0.9 * lambda_inf_1``; the shifted matrix is
 factorized once by sparse LU and the start vector is fixed, so runs are
-deterministic.
+deterministic.  scipy is imported on first use, so importing this module
+does not load ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .bracket import SpectralWindow, window
 from .transverse import WaveguideParams, _nd_ground_cached
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "CylGrid",
@@ -111,7 +114,7 @@ class WindowBC:
 class CylOperator:
     """Assembled symmetric operator with its grid bookkeeping."""
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     grid: CylGrid
     bc: WindowBC
     params: WaveguideParams
@@ -202,7 +205,8 @@ def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperato
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    import scipy.sparse
+    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return CylOperator(matrix=matrix, grid=grid, bc=bc, params=params, active_index=index)
 
 
@@ -214,6 +218,16 @@ class EigResult:
     residuals: list[float]
     grid: CylGrid
     bc: WindowBC
+
+
+def splu(a):
+    """Sparse LU factorization of ``a`` by ``scipy.sparse.linalg.splu``.
+
+    :func:`lowest_eigs` calls it through this module attribute, so a tracer or
+    a test can wrap the factorization by replacing ``fd2d.splu``.
+    """
+    from scipy.sparse.linalg import splu as scipy_splu
+    return scipy_splu(a)
 
 
 def lowest_eigs(op: CylOperator, k: int, tol: float = 1e-10,
@@ -230,10 +244,12 @@ def lowest_eigs(op: CylOperator, k: int, tol: float = 1e-10,
     k = int(k)
     if not 1 <= k <= 10:
         raise ValueError("k must be in 1..10")
+    import scipy.sparse
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     m = op.matrix
     n = m.shape[0]
     shift = 0.9 * _nd_ground_cached(op.params).lam
-    lu = splu(sp.csc_matrix(m - shift * sp.identity(n, format="csc")))
+    lu = splu(scipy.sparse.csc_matrix(m - shift * scipy.sparse.identity(n, format="csc")))
     opinv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     try:
         values, vectors = eigsh(m, k, sigma=shift, OPinv=opinv, v0=np.ones(n),

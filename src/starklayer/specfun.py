@@ -17,7 +17,8 @@ Evaluation strategy
 * Bessel ``J_m`` and its zeros: ``scipy.special.jv`` and
   ``scipy.special.jn_zeros``, behind the order and index caps.  Zeros are
   memoized in a lock-protected table, filled a whole prefix of indices at a
-  time.
+  time.  ``scipy.special`` is imported on first use (the first ``bessel_j``
+  call or zero-table miss), so the Airy and quadrature paths never load scipy.
 
 Relative-error statements for the oscillatory regimes are with respect to the
 local envelope (any fixed-precision value has unbounded relative error at a
@@ -31,7 +32,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special as _sps
 
 from . import _dd
 
@@ -399,7 +399,8 @@ def bessel_j(m: int, x: float) -> float:
     x = float(x)
     if not (x >= 0.0 and math.isfinite(x)):
         raise ValueError("argument must be finite and nonnegative")
-    return float(_sps.jv(m, x))
+    import scipy.special
+    return float(scipy.special.jv(m, x))
 
 
 @dataclass
@@ -442,11 +443,12 @@ def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
     if cached is not None:
         return cached
 
+    import scipy.special
     # Fetching at least twice the deepest cached index keeps an ascending
     # k-sweep at O(log k) scipy calls; jn_zeros returns the same leading zeros
     # whatever the count, so the memo does not depend on the call history.
     count = min(max(k, 2 * table.highest(m)), MAX_BESSEL_ZERO_INDEX)
-    zeros = [float(z) for z in _sps.jn_zeros(m, count)]
+    zeros = [float(z) for z in scipy.special.jn_zeros(m, count)]
     for j, z in enumerate(zeros, start=1):
         table.put(m, j, z)
     return zeros[k - 1]

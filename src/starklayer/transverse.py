@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import specfun
 
@@ -244,9 +243,8 @@ def _chi_airy(params: WaveguideParams, lam, alpha, beta, z, derivative: bool):
     da, db = (aip, bip) if derivative else (ai, bi)
     term1 = alpha * da * np.exp(-xi)
     c2 = beta * db
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term2 = np.where(c2 == 0.0, 0.0,
-                         np.sign(c2) * np.exp(np.log(np.abs(np.where(c2 == 0.0, 1.0, c2))) + xi))
+    with np.errstate(divide="ignore"):
+        term2 = np.sign(c2) * np.exp(np.where(c2 == 0.0, -np.inf, np.log(np.abs(c2)) + xi))
     out = term1 + term2
     if derivative:
         out = w * out
@@ -350,6 +348,7 @@ def fd_levels_oracle(params: WaveguideParams, bc: BoundaryType, count: int, node
         diag = 2.0 * inv_h2 + params.F * z
         off = np.full(nodes - 1, -inv_h2)
         off[0] = -math.sqrt(2.0) * inv_h2
+    from scipy.linalg import eigvalsh_tridiagonal
     vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
     return [float(v) for v in vals]
 

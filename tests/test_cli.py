@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -233,3 +236,42 @@ def test_threshold_merges_zeros_once(monkeypatch):
     assert [int(j) for j, _ in rows] == list(range(1, 41))
     assert [float(v) for _, v in rows] == [bracket.sufficient_radius(params, j)
                                            for j in range(1, 41)]
+
+
+# Runs one entry point in a fresh interpreter, then lists the scipy modules it
+# loaded: every command is its own process, so its imports are its start-up.
+_SCIPY_PROBE = """\
+import contextlib, io, sys
+if sys.argv[1:]:
+    from starklayer import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+else:
+    import starklayer
+print(*sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+_SUBPACKAGES = {"scipy.special", "scipy.linalg", "scipy.sparse", "scipy.optimize"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], set()),
+    (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3"], set()),
+    (["certify", "--F", "1", "--d", "1", "--a", "1"], set()),
+    (["bracket", "--F", "0", "--d", PI_STR, "--a", "10"], {"scipy.special"}),
+    (["threshold", "--F", "0", "--d", PI_STR, "--i", "3"], {"scipy.special"}),
+    (["figure", "--F", "0.01", "--d", "1", "--a-min", "0.5", "--a-max", "2",
+      "--steps", "5"], {"scipy.special"}),
+    (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3",
+      "--method", "fd", "--nodes", "200"], {"scipy.linalg"}),
+], ids=["import", "levels", "certify", "bracket", "threshold", "figure", "levels-fd"])
+def test_entry_point_loads_only_the_scipy_it_calls(argv, expected):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                         check=True, capture_output=True, text=True)
+    loaded = set(out.stdout.split())
+    assert loaded & _SUBPACKAGES == expected
+    if not expected:
+        assert loaded == set()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -163,7 +164,7 @@ def test_lowest_eigs_validation_and_convergence_error(monkeypatch):
         seen.update(kwargs)
         raise ArpackNoConvergence("stalled", np.array([0.9]), u)
 
-    monkeypatch.setattr(fd2d, "eigsh", stalled)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     with pytest.raises(fd2d.ConvergenceError) as err:
         fd2d.lowest_eigs(op, 1, max_iter=1)
     assert seen["maxiter"] == 1
@@ -173,11 +174,27 @@ def test_lowest_eigs_validation_and_convergence_error(monkeypatch):
         np.linalg.norm(op.matrix @ unit - 0.9 * unit), rel=1e-12)
 
     # A returned pair whose residual exceeds the bound is not accepted either.
-    monkeypatch.setattr(fd2d, "eigsh", lambda A, k, **kwargs: (np.array([0.9]), u))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kwargs: (np.array([0.9]), u))
     with pytest.raises(fd2d.ConvergenceError) as err:
         fd2d.lowest_eigs(op, 1)
     assert err.value.best_value == 0.9
     assert err.value.best_residual > fd2d.EIG_RESIDUAL_TOL
+
+
+def test_lowest_eigs_factorizes_once_through_module_splu(monkeypatch):
+    # The benchmark's fd2d.splu span (and its fill ratio) wraps this attribute.
+    real = fd2d.splu
+    shapes = []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(fd2d, "splu", counting)
+    p = WaveguideParams(F=1.0, d=PI, a=3.0)
+    op = fd2d.assemble(p, fd2d.CylGrid(16, 16, 12.0, PI), fd2d.WindowBC(TF))
+    assert len(fd2d.lowest_eigs(op, 2).values) == 2
+    assert shapes == [(op.dimension, op.dimension)]
 
 
 def test_deterministic_eigensolver():

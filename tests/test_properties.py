@@ -2,7 +2,8 @@
 
 Examples are drawn deterministically (``derandomize``) so every run checks
 the same points; F is drawn log-uniformly over [1e-2, 1e3] (over {0} and
-[1e-2, 1e2] for certificates), the window radius log-uniformly over [0.05, 20].
+[1e-2, 1e2] for certificates), the window radius log-uniformly over [0.05, 20]
+(for the certified count, uniformly below 0.95 of the order-64 cap).
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starklayer import certify, transverse
+from starklayer import bracket, certify, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
 
 DD = BoundaryType.DIRICHLET_DIRICHLET
@@ -20,6 +21,7 @@ ND = BoundaryType.NEUMANN_DIRICHLET
 
 FIELDS = st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)
 CERTIFY_FIELDS = st.just(0.0) | st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+FIELDS_WITH_ZERO = st.just(0.0) | FIELDS
 WIDTHS = st.floats(0.5, 4.0)
 WALLS = st.sampled_from([DD, ND])
 RADII = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
@@ -54,6 +56,27 @@ def test_mixed_and_dirichlet_levels_interlace(F, d):
     nd = _lams(F, d, ND, 2)
     dd = _lams(F, d, DD, 1)
     assert nd[0] < dd[0] < nd[1]
+
+
+@PROPERTY
+@given(F=FIELDS_WITH_ZERO, dF=FIELDS, d=WIDTHS)
+def test_window_edges_increase_in_field(F, dF, d):
+    # d lambda / dF = <z> > 0 for every transverse level.
+    weak = bracket.window(WaveguideParams(F=F, d=d))
+    strong = bracket.window(WaveguideParams(F=F + dF, d=d))
+    assert weak.lower < strong.lower and weak.upper < strong.upper
+
+
+@PROPERTY
+@given(F=FIELDS_WITH_ZERO, d=WIDTHS, u=st.floats(0.01, 1.0), v=st.floats(0.01, 1.0))
+def test_count_certified_nondecreasing_in_radius(F, d, u, v):
+    # Radii stay below 0.95 a_max, where a_max = j_{64,1} / sqrt(gap) is the
+    # largest radius the order cap lets the count certify.
+    gap = bracket.window(WaveguideParams(F=F, d=d)).gap
+    a_max = specfun.bessel_zero(specfun.MAX_BESSEL_ORDER, 1) / math.sqrt(gap)
+    small, large = sorted((0.95 * u * a_max, 0.95 * v * a_max))
+    assert (bracket.count_certified(WaveguideParams(F=F, d=d, a=small))
+            <= bracket.count_certified(WaveguideParams(F=F, d=d, a=large)))
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 
 from starklayer import certify, specfun
 from starklayer.transverse import WaveguideParams
@@ -173,7 +174,7 @@ def test_bessel_order_and_index_caps():
 
 
 def test_zero_table_memoization(monkeypatch):
-    real = specfun._sps.jn_zeros
+    real = scipy.special.jn_zeros
     calls = []
 
     def first_call_only(m, n):
@@ -182,7 +183,7 @@ def test_zero_table_memoization(monkeypatch):
             raise AssertionError("memo hit expected, jn_zeros called again")
         return real(m, n)
 
-    monkeypatch.setattr(specfun._sps, "jn_zeros", first_call_only)
+    monkeypatch.setattr(scipy.special, "jn_zeros", first_call_only)
     table = specfun.BesselZeroTable()
     val = specfun.bessel_zero(3, 2, table=table)
     assert table.entries[(3, 2)] == val
@@ -191,14 +192,14 @@ def test_zero_table_memoization(monkeypatch):
 
 
 def test_zero_table_ascending_sweep_fetches_geometrically(monkeypatch):
-    real = specfun._sps.jn_zeros
+    real = scipy.special.jn_zeros
     counts = []
 
     def counting(m, n):
         counts.append(n)
         return real(m, n)
 
-    monkeypatch.setattr(specfun._sps, "jn_zeros", counting)
+    monkeypatch.setattr(scipy.special, "jn_zeros", counting)
     table = specfun.BesselZeroTable()
     sweep = [specfun.bessel_zero(5, k, table=table) for k in range(1, 201)]
     assert sweep == [float(z) for z in real(5, 200)]
