@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .transverse import (
-    BoundaryType,
-    WaveguideParams,
-    _ground_state_cached,
-    _nd_ground_cached,
-    levels,
-)
+from .transverse import BoundaryType, WaveguideParams, ground_level, levels
 
 __all__ = [
     "SpectralWindow",
@@ -66,8 +60,8 @@ class BracketEstimate:
 
 def window(params: WaveguideParams) -> SpectralWindow:
     """Spectral window: the discrete spectrum is confined to [lower, upper)."""
-    lower = _nd_ground_cached(params).lam
-    upper = _ground_state_cached(params).lam
+    lower = ground_level(params.F, params.d, BoundaryType.NEUMANN_DIRICHLET).lam
+    upper = ground_level(params.F, params.d, BoundaryType.DIRICHLET_DIRICHLET).lam
     return SpectralWindow(lower=lower, upper=upper)
 
 

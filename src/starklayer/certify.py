@@ -28,7 +28,7 @@ import numpy as np
 
 from . import specfun
 from .bracket import SpectralWindow, window
-from .transverse import WaveguideParams, _ground_state_cached, chi, chi_prime
+from .transverse import BoundaryType, WaveguideParams, chi, chi_prime, ground_level
 
 __all__ = [
     "TrialSpec",
@@ -180,7 +180,7 @@ def coefficients(params: WaveguideParams, spec: TrialSpec):
     direct quadrature; C uses the endpoint derivatives of the ground state,
     the integrated form of ``-chi_1''``.
     """
-    level = _ground_state_cached(params)
+    level = ground_level(params.F, params.d, BoundaryType.DIRICHLET_DIRICHLET)
     lam = level.lam
     d = params.d
 
@@ -199,7 +199,7 @@ def q_functional(params: WaveguideParams, spec: TrialSpec) -> float:
     identity where they apply and quadrature elsewhere; the cutoff tail is
     integrated exactly through the log substitution, so nothing is truncated.
     """
-    level = _ground_state_cached(params)
+    level = ground_level(params.F, params.d, BoundaryType.DIRICHLET_DIRICHLET)
     lam = level.lam
     d = params.d
     a, b, tau, eps = spec.a, spec.b, spec.tau, spec.eps

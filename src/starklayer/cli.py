@@ -88,6 +88,8 @@ def _cmd_levels(config: RunConfig):
     params = config.params()
     bc = _BC_NAMES[config.options["bc"]]
     count = config.options["count"]
+    if not 1 <= count <= 100:
+        raise ValueError("count must be in 1..100")
     method = config.options["method"]
     if method == "exact":
         vals = [lvl.lam for lvl in transverse.levels(params, bc, count)]

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bracket import SpectralWindow, window
-from .transverse import WaveguideParams, _nd_ground_cached
+from .transverse import BoundaryType, WaveguideParams, ground_level
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 EIG_RESIDUAL_TOL = 1e-8
+ARPACK_TOL = 1e-10   # relative Ritz tolerance of eigsh in lowest_eigs
 
 
 class ConvergenceError(RuntimeError):
@@ -230,16 +231,15 @@ def splu(a):
     return scipy_splu(a)
 
 
-def lowest_eigs(op: CylOperator, k: int, tol: float = 1e-10,
-                max_iter: int = 20000) -> EigResult:
+def lowest_eigs(op: CylOperator, k: int, max_iter: int = 20000) -> EigResult:
     """k smallest eigenpairs by ARPACK in shift-invert mode.
 
     The fixed shift ``0.9 * lambda_inf_1`` is factorized once by sparse LU
     and the Lanczos start vector is all ones, so runs are deterministic.
-    ``tol`` and ``max_iter`` are ARPACK's relative Ritz tolerance and restart
-    cap.  Residuals are ``|A u - lambda u|`` for unit ``u``; if ARPACK stops
-    early or any residual exceeds ``EIG_RESIDUAL_TOL``, raises
-    :class:`ConvergenceError` with the pair of smallest residual.
+    ARPACK stops at the relative Ritz tolerance ``ARPACK_TOL`` or after
+    ``max_iter`` restarts.  Residuals are ``|A u - lambda u|`` for unit
+    ``u``; if ARPACK stops early or any residual exceeds ``EIG_RESIDUAL_TOL``,
+    raises :class:`ConvergenceError` with the pair of smallest residual.
     """
     k = int(k)
     if not 1 <= k <= 10:
@@ -248,12 +248,12 @@ def lowest_eigs(op: CylOperator, k: int, tol: float = 1e-10,
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     m = op.matrix
     n = m.shape[0]
-    shift = 0.9 * _nd_ground_cached(op.params).lam
+    shift = 0.9 * ground_level(op.params.F, op.params.d, BoundaryType.NEUMANN_DIRICHLET).lam
     lu = splu(scipy.sparse.csc_matrix(m - shift * scipy.sparse.identity(n, format="csc")))
     opinv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     try:
         values, vectors = eigsh(m, k, sigma=shift, OPinv=opinv, v0=np.ones(n),
-                                tol=tol, maxiter=max_iter)
+                                tol=ARPACK_TOL, maxiter=max_iter)
         failure = None
     except ArpackNoConvergence as exc:
         values, vectors = exc.eigenvalues, exc.eigenvectors

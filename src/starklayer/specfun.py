@@ -14,11 +14,14 @@ Evaluation strategy
   precision.  For ``x > 0`` results are stored scaled by ``exp(±xi)``,
   ``xi = (2/3) x**1.5``, so both the decaying and the growing solution stay
   representable for ``x`` up to at least ``1e4``.
+* Airy zeros: ``scipy.special.ai_zeros``, which returns the first n zeros
+  of Ai and of Ai'; the n-th is the last of them.
 * Bessel ``J_m`` and its zeros: ``scipy.special.jv`` and
   ``scipy.special.jn_zeros``, behind the order and index caps.  Zeros are
   memoized in a lock-protected table, filled a whole prefix of indices at a
-  time.  ``scipy.special`` is imported on first use (the first ``bessel_j``
-  call or zero-table miss), so the Airy and quadrature paths never load scipy.
+  time.  ``scipy.special`` is imported on first use (an Airy-zero or
+  ``bessel_j`` call, or a zero-table miss), so the Airy-function and
+  quadrature paths never load scipy.
 
 Relative-error statements for the oscillatory regimes are with respect to the
 local envelope (any fixed-precision value has unbounded relative error at a
@@ -287,101 +290,22 @@ def airy(x: float) -> AiryPair:
     return AiryPair(float(x), float(a[0]), float(ap[0]), float(b[0]), float(bp[0]), float(s[0]))
 
 
-def _ai_neg(t: float) -> float:
-    """Ai(-t) for t > 0 (raw; the negative axis is never scaled)."""
-    a, _, _, _, _ = airy_grid(np.array([-t]))
-    return float(a[0])
-
-
-def _aip_neg(t: float) -> float:
-    _, ap, _, _, _ = airy_grid(np.array([-t]))
-    return float(ap[0])
-
-
-def _newton_bracketed(f, fprime, lo, hi, x0, tol):
-    """Safeguarded Newton: steps are clipped to [lo, hi], bisection fallback."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RuntimeError("root bracket does not straddle a sign change")
-    x = min(max(x0, lo), hi)
-    for _ in range(100):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi = x
-        else:
-            lo, flo = x, fx
-        dfx = fprime(x)
-        step_ok = dfx != 0.0
-        if step_ok:
-            xn = x - fx / dfx
-            step_ok = lo < xn < hi
-        if not step_ok:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= tol * max(1.0, abs(xn)):
-            return xn
-        x = xn
-    return x
-
-
-_airy_zero_cache: dict = {}
-_airy_zero_lock = threading.Lock()
+def _ai_zeros(n: int):
+    n = int(n)
+    if n < 1:
+        raise ValueError("zero index must be >= 1")
+    import scipy.special
+    return scipy.special.ai_zeros(n)
 
 
 def airy_ai_zero(n: int) -> float:
     """Magnitude ``t_n`` of the n-th negative zero of Ai (``Ai(-t_n) = 0``)."""
-    return _airy_zero_inner("ai", int(n))
+    return -float(_ai_zeros(n)[0][-1])
 
 
 def airy_aip_zero(n: int) -> float:
     """Magnitude ``t'_n`` of the n-th negative zero of Ai' (``Ai'(-t'_n) = 0``)."""
-    return _airy_zero_inner("aip", int(n))
-
-
-def _airy_zero_guess(kind: str, n: int) -> float:
-    if kind == "ai":
-        arg = 3.0 * math.pi * (4 * n - 1) / 8.0
-        w = arg ** (-2.0)
-        return arg ** (2.0 / 3.0) * (1.0 + w * (5.0 / 48.0 - w * (5.0 / 36.0 - w * 77125.0 / 82944.0)))
-    arg = 3.0 * math.pi * (4 * n - 3) / 8.0
-    w = arg ** (-2.0)
-    return arg ** (2.0 / 3.0) * (1.0 - w * (7.0 / 48.0 - w * (35.0 / 288.0 - w * 181223.0 / 207360.0)))
-
-
-def _airy_zero_inner(kind: str, n: int) -> float:
-    if n < 1:
-        raise ValueError("zero index must be >= 1")
-    with _airy_zero_lock:
-        if (kind, n) in _airy_zero_cache:
-            return _airy_zero_cache[(kind, n)]
-    if kind == "ai":
-        f = _ai_neg
-        fp = lambda t: -_aip_neg(t)  # noqa: E731
-    else:
-        f = _aip_neg
-        fp = lambda t: float(t) * _ai_neg(t)  # via Ai'' = x Ai  # noqa: E731
-
-    # Neighboring asymptotic guesses pin the index: the guess error is far
-    # smaller than the spacing, so [lo, hi] holds exactly the n-th zero.
-    guess = _airy_zero_guess(kind, n)
-    g_next = _airy_zero_guess(kind, n + 1)
-    hi = guess + 0.45 * (g_next - guess)
-    if n >= 2:
-        lo = guess - 0.45 * (guess - _airy_zero_guess(kind, n - 1))
-    else:
-        lo = max(0.5 * guess, 0.3)
-    if f(lo) * f(hi) > 0.0:
-        raise RuntimeError(f"failed to bracket Airy zero ({kind}, n={n})")
-    root = _newton_bracketed(f, fp, lo, hi, guess, 1e-14)
-    with _airy_zero_lock:
-        _airy_zero_cache[(kind, n)] = root
-    return root
+    return -float(_ai_zeros(n)[1][-1])
 
 
 # ---------------------------------------------------------------------------

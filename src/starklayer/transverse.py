@@ -33,6 +33,7 @@ __all__ = [
     "TransverseLevel",
     "SolverError",
     "levels",
+    "ground_level",
     "fd_levels_oracle",
     "asymptotic_weak",
     "asymptotic_strong",
@@ -416,10 +417,10 @@ def chi1_second_derivative(level: TransverseLevel, params: WaveguideParams, z):
 
 
 @lru_cache(maxsize=128)
-def _ground_state_cached(params: WaveguideParams) -> TransverseLevel:
-    return levels(params, BoundaryType.DIRICHLET_DIRICHLET, 1)[0]
+def ground_level(F: float, d: float, bc: BoundaryType) -> TransverseLevel:
+    """Lowest transverse level for the walls ``bc``, memoized on ``(F, d, bc)``.
 
-
-@lru_cache(maxsize=128)
-def _nd_ground_cached(params: WaveguideParams) -> TransverseLevel:
-    return levels(params, BoundaryType.NEUMANN_DIRICHLET, 1)[0]
+    The transverse problem does not see the window radius, so a sweep over
+    ``a`` at fixed ``(F, d)`` solves each ground level once.
+    """
+    return levels(WaveguideParams(F=F, d=d), bc, 1)[0]

@@ -140,6 +140,16 @@ def test_exit_code_validation_error():
     assert cli.main(["levels", "--F", "-1", "--d", "1", "--bc", "dirichlet"]) == 2
 
 
+@pytest.mark.parametrize("count", [0, 101])
+@pytest.mark.parametrize("method", ["exact", "fd", "asymptotic-weak", "asymptotic-strong"])
+def test_levels_count_outside_range_is_validation_error(capsys, method, count):
+    assert cli.main(["levels", "--F", "1", "--d", "1", "--bc", "dirichlet",
+                     "--count", str(count), "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count must be in 1..100\n"
+
+
 def test_exit_code_solver_failure(capsys):
     code = cli.main(["threshold", "--F", "0", "--d", PI_STR, "--i", "2000"])
     assert code == 1
@@ -264,7 +274,10 @@ _SUBPACKAGES = {"scipy.special", "scipy.linalg", "scipy.sparse", "scipy.optimize
       "--steps", "5"], {"scipy.special"}),
     (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3",
       "--method", "fd", "--nodes", "200"], {"scipy.linalg"}),
-], ids=["import", "levels", "certify", "bracket", "threshold", "figure", "levels-fd"])
+    (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3",
+      "--method", "asymptotic-strong"], {"scipy.special"}),
+], ids=["import", "levels", "certify", "bracket", "threshold", "figure", "levels-fd",
+        "levels-strong"])
 def test_entry_point_loads_only_the_scipy_it_calls(argv, expected):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -86,6 +86,17 @@ def test_airy_prime_zero_is_extremum_of_ai():
     assert 1.0 < t < 1.1  # classical value 1.01879...
 
 
+def test_airy_zeros_match_mpmath_first_hundred():
+    for n in range(1, 101):
+        assert specfun.airy_ai_zero(n) == pytest.approx(
+            -float(mp.airyaizero(n)), rel=2e-12, abs=0.0)
+        assert specfun.airy_aip_zero(n) == pytest.approx(
+            -float(mp.airyaizero(n, derivative=1)), rel=2e-12, abs=0.0)
+    for zero in (specfun.airy_ai_zero, specfun.airy_aip_zero):
+        with pytest.raises(ValueError):
+            zero(0)
+
+
 def test_airy_rejects_nonfinite():
     with pytest.raises(ValueError):
         specfun.airy(math.nan)

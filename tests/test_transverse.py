@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from starklayer import specfun, transverse
+from starklayer import bracket, fd2d, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
 
 DD = BoundaryType.DIRICHLET_DIRICHLET
@@ -240,6 +240,28 @@ def test_ground_levels_airy_call_budget(airy_calls):
         for bc in (DD, ND):
             transverse.levels(WaveguideParams(F=F, d=PI), bc, 1)
     assert airy_calls[0] <= 102
+
+
+def test_ground_level_solved_once_per_field_and_width(monkeypatch):
+    # A sweep over the window radius at fixed (F, d) solves each wall's ground
+    # level once: the two-level window and the 2-D shifts share the cache.
+    transverse.ground_level.cache_clear()
+    calls = []
+    solve = transverse.levels
+
+    def counted(params, bc, count):
+        calls.append(bc)
+        return solve(params, bc, count)
+
+    monkeypatch.setattr(transverse, "levels", counted)
+    for a in (0.5, 1.0, 2.0):
+        bracket.window(WaveguideParams(F=1.0, d=PI, a=a))
+    for a in (1.0, 2.0):
+        p = WaveguideParams(F=1.0, d=PI, a=a)
+        op = fd2d.assemble(p, fd2d.CylGrid(12, 12, a, PI),
+                           fd2d.WindowBC(fd2d.BCKind.INNER_DIRICHLET))
+        fd2d.lowest_eigs(op, 1)
+    assert len(calls) == 2
 
 
 def _masked_chi_reference(params, level, z, derivative):
