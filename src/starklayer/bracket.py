@@ -76,7 +76,9 @@ def dirichlet_disc_levels(params: WaveguideParams, below: float,
         return []
     if n_max < 1 or m_max < 0 or k_max < 1:
         raise ValueError("index caps must be positive (m_max >= 0)")
-    nd = levels(params, BoundaryType.NEUMANN_DIRICHLET, n_max)
+    # The ground level alone is the window's lower edge: take it from the cache.
+    nd = (levels(params, BoundaryType.NEUMANN_DIRICHLET, n_max) if n_max > 1
+          else [ground_level(params.F, params.d, BoundaryType.NEUMANN_DIRICHLET)])
     a = params.a
     out = []
     for lvl in nd:

@@ -291,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--below", type=float, default=None,
                    help="threshold (default: essential-spectrum edge)")
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--m-max", dest="m_max", type=int, default=64)
+    p.add_argument("--m-max", dest="m_max", type=int,
+                   default=specfun.MAX_BESSEL_ORDER)
     p.add_argument("--k-max", dest="k_max", type=int, default=100)
 
     p = sub.add_parser("threshold", help="sufficient window radii a*_i")

@@ -10,10 +10,11 @@ overflow; only a well-conditioned mantissa reaches the root finder.
 
 The solve works on whole arrays.  The sign scan evaluates its lambda grid a
 chunk at a time, one ``airy_grid`` call per chunk; all bracketed roots are
-refined together by the Illinois method, one call per round; and each
-composite-Simpson round of the normalization evaluates all the levels not
-yet converged together.  For F from 1e-2 to 1e4, ``levels(count=20)`` costs
-10 to 50 calls.
+refined together by the Illinois method, one call per round.  For F from
+1e-2 to 1e4, ``levels(count=20)`` costs 10 to 50 calls.  ``levels`` returns
+eigenvalues only: an eigenfunction is normalized, by composite Simpson, on
+the first :func:`chi` or :func:`chi_prime` call for its level, once per
+``(F, d, level)``.
 """
 
 from __future__ import annotations
@@ -86,35 +87,25 @@ class BoundaryType(enum.Enum):
 
 @dataclass(frozen=True)
 class TransverseLevel:
-    """One transverse eigenpair.
+    """The ``n``-th transverse eigenvalue ``lam`` for the walls ``bc``.
 
-    ``chi(z) = alpha * u(z) + beta * v(z)`` where (u, v) is the Airy
-    fundamental pair for ``basis == "airy"``, or the closed trigonometric
-    form for ``basis == "trig"`` (then ``alpha`` is the signed amplitude and
-    ``beta == 0``).  Normalized to unit L2 norm with ``chi'(d) < 0``, which
-    makes the ground state positive on the interior.
+    Its eigenfunction is read through :func:`chi` and :func:`chi_prime`,
+    which normalize it on first use.
     """
 
     n: int
     bc: BoundaryType
     lam: float
-    alpha: float
-    beta: float
-    basis: str
 
 
 def _use_trig(params: WaveguideParams) -> bool:
     return params.F < _TRIG_SWITCH * (math.pi / params.d) ** 3
 
 
-def _trig_level(params: WaveguideParams, bc: BoundaryType, n: int) -> TransverseLevel:
-    d = params.d
-    amp = math.sqrt(2.0 / d) * (1.0 if n % 2 == 1 else -1.0)  # fixes chi'(d) < 0
+def _trig_lam(d: float, bc: BoundaryType, n: int) -> float:
     if bc is BoundaryType.DIRICHLET_DIRICHLET:
-        lam = (n * math.pi / d) ** 2
-    else:
-        lam = ((2 * n - 1) * math.pi / (2.0 * d)) ** 2
-    return TransverseLevel(n=n, bc=bc, lam=lam, alpha=amp, beta=0.0, basis="trig")
+        return (n * math.pi / d) ** 2
+    return ((2 * n - 1) * math.pi / (2.0 * d)) ** 2
 
 
 def _det_mantissa(params: WaveguideParams, bc: BoundaryType, lam):
@@ -223,22 +214,28 @@ def _refine_roots(params: WaveguideParams, bc: BoundaryType, brackets: np.ndarra
     return x.tolist()
 
 
-def _airy_levels(params: WaveguideParams, bc: BoundaryType, roots: list[float]) -> list[TransverseLevel]:
-    w = params.F ** (1.0 / 3.0)
-    lam = np.array(roots)
-    ai, aip, bi, bip, xi = specfun.airy_grid(w * params.d - lam / w ** 2)
-    pre_alpha = bi                                             # Bi(zeta_d) / e^{xi_d}
-    pre_beta = -ai * np.array([math.exp(-2.0 * t) for t in xi])  # -Ai(zeta_d) / e^{xi_d}
-    norm = _l2_norms(params, lam, pre_alpha, pre_beta)
-    return [TransverseLevel(n=k + 1, bc=bc, lam=float(lam[k]), alpha=float(pre_alpha[k] / norm[k]),
-                            beta=float(pre_beta[k] / norm[k]), basis="airy")
-            for k in range(lam.size)]
+@lru_cache(maxsize=128)
+def _coefficients(F: float, d: float, level: TransverseLevel) -> tuple[float, float]:
+    """Normalized ``(alpha, beta)`` of ``level``'s eigenfunction, memoized.
+
+    ``chi(z) = alpha * u(z) + beta * v(z)`` where (u, v) is the Airy
+    fundamental pair, or the closed trigonometric form when ``_use_trig``
+    (then ``alpha`` is the signed amplitude and ``beta == 0``).  Unit L2 norm
+    with ``chi'(d) < 0``, which makes the ground state positive on the interior.
+    """
+    params = WaveguideParams(F=F, d=d)
+    if _use_trig(params):
+        return math.sqrt(2.0 / d) * (1.0 if level.n % 2 == 1 else -1.0), 0.0
+    w = F ** (1.0 / 3.0)
+    ai, aip, bi, bip, xi = specfun.airy_grid(np.array([w * d - level.lam / w ** 2]))
+    alpha = bi[0]                                # Bi(zeta_d) / e^{xi_d}
+    beta = -ai[0] * math.exp(-2.0 * xi[0])       # -Ai(zeta_d) / e^{xi_d}
+    norm = _l2_norm(params, level.lam, alpha, beta)
+    return float(alpha / norm), float(beta / norm)
 
 
 def _chi_airy(params: WaveguideParams, lam, alpha, beta, z, derivative: bool):
-    # lam, alpha and beta are scalars, or columns that broadcast against z.
     w = params.F ** (1.0 / 3.0)
-    z = np.asarray(z, dtype=np.float64)
     zeta = w * z - lam / w ** 2
     ai, aip, bi, bip, xi = specfun.airy_grid(zeta)
     da, db = (aip, bip) if derivative else (ai, bi)
@@ -252,78 +249,68 @@ def _chi_airy(params: WaveguideParams, lam, alpha, beta, z, derivative: bool):
     return out
 
 
+def _chi(level: TransverseLevel, params: WaveguideParams, z, derivative: bool):
+    alpha, beta = _coefficients(params.F, params.d, level)
+    z_arr = np.asarray(z, dtype=np.float64)
+    d = params.d
+    if not _use_trig(params):
+        out = _chi_airy(params, level.lam, alpha, beta, z_arr, derivative)
+    elif level.bc is BoundaryType.DIRICHLET_DIRICHLET:
+        k = level.n * math.pi / d
+        out = (alpha * k * np.cos(k * z_arr) if derivative
+               else alpha * np.sin(level.n * math.pi * z_arr / d))
+    else:
+        k = (2 * level.n - 1) * math.pi / (2.0 * d)
+        out = (-alpha * k * np.sin(k * z_arr) if derivative
+               else alpha * np.cos((2 * level.n - 1) * math.pi * z_arr / (2.0 * d)))
+    return float(out) if np.isscalar(z) else out
+
+
 def chi(level: TransverseLevel, params: WaveguideParams, z):
     """Normalized transverse eigenfunction at ``z`` (scalar or array)."""
-    z_arr = np.asarray(z, dtype=np.float64)
-    if level.basis == "trig":
-        d = params.d
-        if level.bc is BoundaryType.DIRICHLET_DIRICHLET:
-            out = level.alpha * np.sin(level.n * math.pi * z_arr / d)
-        else:
-            out = level.alpha * np.cos((2 * level.n - 1) * math.pi * z_arr / (2.0 * d))
-    else:
-        out = _chi_airy(params, level.lam, level.alpha, level.beta, z_arr, derivative=False)
-    return float(out) if np.isscalar(z) else out
+    return _chi(level, params, z, derivative=False)
 
 
 def chi_prime(level: TransverseLevel, params: WaveguideParams, z):
     """Derivative of the normalized transverse eigenfunction."""
-    z_arr = np.asarray(z, dtype=np.float64)
-    if level.basis == "trig":
-        d = params.d
-        if level.bc is BoundaryType.DIRICHLET_DIRICHLET:
-            k = level.n * math.pi / d
-            out = level.alpha * k * np.cos(k * z_arr)
-        else:
-            k = (2 * level.n - 1) * math.pi / (2.0 * d)
-            out = -level.alpha * k * np.sin(k * z_arr)
-    else:
-        out = _chi_airy(params, level.lam, level.alpha, level.beta, z_arr, derivative=True)
-    return float(out) if np.isscalar(z) else out
+    return _chi(level, params, z, derivative=True)
 
 
-def _l2_norms(params: WaveguideParams, lam, alpha, beta) -> np.ndarray:
-    """L2 norms of ``alpha*u + beta*v`` over [0, d], one per level, by refining composite Simpson.
+def _l2_norm(params: WaveguideParams, lam: float, alpha: float, beta: float) -> float:
+    """L2 norm of ``alpha*u + beta*v`` over [0, d] by refining composite Simpson.
 
-    Every level doubles its panel count until two rounds agree to
-    ``NORM_TOL``.  A round evaluates the levels still open in as few
-    ``airy_grid`` calls as ``specfun.MAX_CALL_POINTS`` allows.
+    The panel count doubles until two rounds agree to ``NORM_TOL``; past
+    131072 panels the last round's value stands.
     """
     d = params.d
 
-    def sq_on(npanels, idx):
+    def sq_on(npanels):
         z = np.linspace(0.0, d, 2 * npanels + 1)
-        h = d / (2 * npanels)
-        per_call = max(1, specfun.MAX_CALL_POINTS // z.size)
-        out = []
-        for start in range(0, idx.size, per_call):
-            k = idx[start:start + per_call, None]
-            vals = _chi_airy(params, lam[k], alpha[k], beta[k], z, derivative=False) ** 2
-            out.append(h / 3.0 * (vals[:, 0] + vals[:, -1] + 4.0 * vals[:, 1::2].sum(axis=1)
-                                  + 2.0 * vals[:, 2:-1:2].sum(axis=1)))
-        return np.concatenate(out)
+        vals = _chi_airy(params, lam, alpha, beta, z, derivative=False) ** 2
+        return d / (2 * npanels) / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
+                                          + 2.0 * vals[2:-1:2].sum())
 
     n = 256
-    todo = np.arange(lam.size)
-    prev = sq_on(n, todo)
-    result = np.empty_like(prev)
-    while n <= 65536 and todo.size:
+    prev = sq_on(n)
+    while n <= 65536:
         n *= 2
-        cur = sq_on(n, todo)
-        result[todo] = cur   # the last round's value stands for a level that never settles
-        done = np.abs(cur - prev) <= NORM_TOL * np.maximum(np.abs(cur), 1e-300)
-        todo, prev = todo[~done], cur[~done]
-    return np.sqrt(result)
+        cur = sq_on(n)
+        if abs(cur - prev) <= NORM_TOL * max(abs(cur), 1e-300):
+            break
+        prev = cur
+    return math.sqrt(cur)
 
 
 def levels(params: WaveguideParams, bc: BoundaryType, count: int) -> list[TransverseLevel]:
-    """First ``count`` transverse eigenpairs in increasing order, located to 1e-10 relative."""
+    """First ``count`` transverse eigenvalues in increasing order, located to 1e-10 relative."""
     count = int(count)
     if not 1 <= count <= 100:
         raise ValueError("count must be in 1..100")
     if _use_trig(params):
-        return [_trig_level(params, bc, n) for n in range(1, count + 1)]
-    return _airy_levels(params, bc, _scan_roots(params, bc, count))
+        lams = [_trig_lam(params.d, bc, n) for n in range(1, count + 1)]
+    else:
+        lams = _scan_roots(params, bc, count)
+    return [TransverseLevel(n=n, bc=bc, lam=lam) for n, lam in enumerate(lams, start=1)]
 
 
 def fd_levels_oracle(params: WaveguideParams, bc: BoundaryType, count: int, nodes: int) -> list[float]:

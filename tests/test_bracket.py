@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from starklayer import bracket, cli, specfun
+from starklayer import bracket, cli, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams, levels
 
 PI = math.pi
@@ -112,6 +112,25 @@ def test_count_is_sum_of_cli_bracket_multiplicities(a):
 def test_count_refuses_radius_past_the_order_cap():
     with pytest.raises(specfun.UnsupportedOrderError):
         bracket.count_certified(WaveguideParams(F=0.0, d=PI, a=100.0))
+
+
+def test_count_sweep_solves_each_ground_level_once(monkeypatch):
+    # The Neumann-Dirichlet ground level of every radius is the window's lower
+    # edge, so a sweep over a at fixed (F, d) reuses the cached solve.
+    transverse.ground_level.cache_clear()
+    calls = []
+
+    def counting(solve):
+        def counted(params, bc, count):
+            calls.append(bc)
+            return solve(params, bc, count)
+        return counted
+
+    monkeypatch.setattr(transverse, "levels", counting(transverse.levels))
+    monkeypatch.setattr(bracket, "levels", counting(bracket.levels))
+    for a in (0.5, 1.0, 2.0, 4.0):
+        bracket.count_certified(WaveguideParams(F=10.0, d=3.0, a=a))
+    assert len(calls) == 2
 
 
 def test_sorted_zeros_merge_all_orders():

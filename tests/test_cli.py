@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from starklayer import cli, fd2d
+from starklayer import cli, fd2d, transverse
 
 PI_STR = "3.141592653589793"
 
@@ -288,3 +288,24 @@ def test_entry_point_loads_only_the_scipy_it_calls(argv, expected):
     assert loaded & _SUBPACKAGES == expected
     if not expected:
         assert loaded == set()
+
+
+def test_output_does_not_depend_on_cache_state(capsys):
+    # In one process: levels, certify with cold caches, certify again with warm
+    # ones, levels again.  Each must print what a fresh process prints.
+    levels_argv = ["levels", "--F", "3000", "--d", "1", "--bc", "dirichlet", "--count", "20"]
+    certify_argv = ["certify", "--F", "1", "--d", "1", "--a", "1", "--format", "json"]
+    transverse.ground_level.cache_clear()
+    transverse._coefficients.cache_clear()
+    printed = []
+    for argv in (levels_argv, certify_argv, certify_argv, levels_argv):
+        assert cli.main(argv) == 0
+        printed.append(capsys.readouterr().out)
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = [subprocess.run([sys.executable, "-m", "starklayer.cli", *argv], env=env,
+                            check=True, capture_output=True, text=True).stdout
+             for argv in (levels_argv, certify_argv)]
+    assert printed == [fresh[0], fresh[1], fresh[1], fresh[0]]

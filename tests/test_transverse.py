@@ -214,12 +214,13 @@ def test_bracketing_failure_reports_interval(monkeypatch):
 
 @pytest.fixture
 def airy_calls(monkeypatch):
-    """Counts ``specfun.airy_grid`` calls, the unit of work of the transverse solve."""
-    calls = [0]
+    """Counts ``specfun.airy_grid`` calls and the points they evaluate: ``[calls, points]``."""
+    calls = [0, 0]
     kernel = specfun.airy_grid
 
     def counted(x):
         calls[0] += 1
+        calls[1] += np.asarray(x).size
         return kernel(x)
 
     monkeypatch.setattr(specfun, "airy_grid", counted)
@@ -232,6 +233,7 @@ def airy_calls(monkeypatch):
 def test_twenty_levels_airy_call_budget(airy_calls, F, d, bc):
     transverse.levels(WaveguideParams(F=F, d=d), bc, 20)
     assert airy_calls[0] <= 64
+    assert airy_calls[1] <= 2000
 
 
 def test_ground_levels_airy_call_budget(airy_calls):
@@ -267,13 +269,14 @@ def test_ground_level_solved_once_per_field_and_width(monkeypatch):
 def _masked_chi_reference(params, level, z, derivative):
     """The Airy eigenfunction with the zero-coefficient lanes masked after exp."""
     w = params.F ** (1.0 / 3.0)
+    alpha, beta = transverse._coefficients(params.F, params.d, level)
     ai, aip, bi, bip, xi = specfun.airy_grid(w * z - level.lam / w ** 2)
     da, db = (aip, bip) if derivative else (ai, bi)
-    c2 = level.beta * db
+    c2 = beta * db
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         term2 = np.where(c2 == 0.0, 0.0,
                          np.sign(c2) * np.exp(np.log(np.abs(np.where(c2 == 0.0, 1.0, c2))) + xi))
-    out = level.alpha * da * np.exp(-xi) + term2
+    out = alpha * da * np.exp(-xi) + term2
     return w * out if derivative else out
 
 
@@ -285,7 +288,7 @@ def test_chi_warns_no_overflow_and_matches_masked_reference(F, d, bc):
     p = WaveguideParams(F=F, d=d)
     z = np.linspace(0.0, d, 257)
     (lvl,) = transverse.levels(p, bc, 1)
-    assert lvl.basis == "airy"
+    assert not transverse._use_trig(p)
     for deriv, fn in ((False, transverse.chi), (True, transverse.chi_prime)):
         assert np.array_equal(fn(lvl, p, z), _masked_chi_reference(p, lvl, z, deriv))
 
@@ -317,9 +320,25 @@ def test_lockstep_roots_match_scalar_reference(F, bc):
 
 
 @pytest.mark.parametrize("bc", [DD, ND])
-def test_batched_normalization_matches_one_level_at_a_time(bc):
-    p = WaveguideParams(F=3.0, d=PI)
-    batch = transverse.levels(p, bc, 6)
-    for lvl in batch:
-        (alone,) = transverse._airy_levels(p, bc, [lvl.lam])
-        assert (alone.alpha, alone.beta) == (lvl.alpha, lvl.beta)
+@pytest.mark.parametrize("d", [1.0, PI])
+@pytest.mark.parametrize("F", [1.0, 100.0])
+def test_excited_eigenfunctions_orthonormal_and_satisfy_walls(F, d, bc):
+    p = WaveguideParams(F=F, d=d)
+    lv = transverse.levels(p, bc, 5)
+    seen = {}   # the pairs share most abscissae; each chi call costs an Airy evaluation
+
+    def chi(level, z):
+        key = (level.n, z.tobytes())
+        if key not in seen:
+            seen[key] = transverse.chi(level, p, z)
+        return seen[key]
+
+    for m in lv:
+        for n in lv[m.n - 1:]:
+            overlap = specfun.integrate(lambda z: chi(m, z) * chi(n, z), 0.0, d, 1e-12)
+            assert abs(overlap - (m.n == n.n)) <= 1e-9
+        assert abs(transverse.chi(m, p, d)) <= 1e-10
+        if bc is DD:
+            assert abs(transverse.chi(m, p, 0.0)) <= 1e-10
+        else:
+            assert abs(transverse.chi_prime(m, p, 0.0)) <= 1e-10
