@@ -16,12 +16,14 @@ Evaluation strategy
   representable for ``x`` up to at least ``1e4``.
 * Airy zeros: ``scipy.special.ai_zeros``, which returns the first n zeros
   of Ai and of Ai'; the n-th is the last of them.
-* Bessel ``J_m`` and its zeros: ``scipy.special.jv`` and
-  ``scipy.special.jn_zeros``, behind the order and index caps.  Zeros are
+* Bessel ``J_m``: ``scipy.special.jv``, behind the order cap.
+* Bessel zeros: ``scipy.special.jn_zeros``, behind the order and index caps.
+  Its first 100 zeros of every order ``m <= 64`` ship with the package in
+  ``_jn_zeros.npy``; only a zero of index above 100 calls scipy.  Zeros are
   memoized in a lock-protected table, filled a whole prefix of indices at a
   time.  ``scipy.special`` is imported on first use (an Airy-zero or
-  ``bessel_j`` call, or a zero-table miss), so the Airy-function and
-  quadrature paths never load scipy.
+  ``bessel_j`` call, or a zero-table miss above the shipped prefix), so the
+  Airy-function, quadrature and shipped-zero paths never load scipy.
 
 Relative-error statements for the oscillatory regimes are with respect to the
 local envelope (any fixed-precision value has unbounded relative error at a
@@ -33,6 +35,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -353,8 +357,20 @@ class BesselZeroTable:
 _DEFAULT_ZEROS = BesselZeroTable()
 
 
+@cache
+def _shipped_zeros() -> np.ndarray:
+    """``np.array([jn_zeros(m, 100) for m in range(MAX_BESSEL_ORDER + 1)])``, read once."""
+    return np.load(Path(__file__).with_name("_jn_zeros.npy"))
+
+
 def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
-    """k-th positive zero of ``J_m`` to ``1e-10`` absolute (``m <= 64``, ``k <= 1000``)."""
+    """k-th positive zero of ``J_m`` to ``1e-10`` absolute (``m <= 64``, ``k <= 1000``).
+
+    The value is ``scipy.special.jn_zeros(m, k)[-1]``.  A memo miss at
+    ``k <= 100`` stores row ``m`` of the shipped table, read from
+    ``_jn_zeros.npy`` on the first miss; a deeper index fetches a prefix
+    from ``jn_zeros``, which returns the same leading zeros whatever the count.
+    """
     m = int(m)
     k = int(k)
     if m < 0 or m > MAX_BESSEL_ORDER:
@@ -367,12 +383,16 @@ def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
     if cached is not None:
         return cached
 
-    import scipy.special
-    # Fetching at least twice the deepest cached index keeps an ascending
-    # k-sweep at O(log k) scipy calls; jn_zeros returns the same leading zeros
-    # whatever the count, so the memo does not depend on the call history.
-    count = min(max(k, 2 * table.highest(m)), MAX_BESSEL_ZERO_INDEX)
-    zeros = [float(z) for z in scipy.special.jn_zeros(m, count)]
+    shipped = _shipped_zeros()
+    if m < shipped.shape[0] and k <= shipped.shape[1]:
+        zeros = shipped[m]
+    else:
+        import scipy.special
+        # Fetching at least twice the deepest cached index keeps an ascending
+        # k-sweep at O(log k) scipy calls.
+        count = min(max(k, 2 * table.highest(m)), MAX_BESSEL_ZERO_INDEX)
+        zeros = scipy.special.jn_zeros(m, count)
+    zeros = zeros.tolist()
     for j, z in enumerate(zeros, start=1):
         table.put(m, j, z)
     return zeros[k - 1]

@@ -268,16 +268,18 @@ _SUBPACKAGES = {"scipy.special", "scipy.linalg", "scipy.sparse", "scipy.optimize
     ([], set()),
     (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3"], set()),
     (["certify", "--F", "1", "--d", "1", "--a", "1"], set()),
-    (["bracket", "--F", "0", "--d", PI_STR, "--a", "10"], {"scipy.special"}),
-    (["threshold", "--F", "0", "--d", PI_STR, "--i", "3"], {"scipy.special"}),
+    (["bracket", "--F", "0", "--d", PI_STR, "--a", "10"], set()),
+    (["bracket", "--F", "0", "--d", "1", "--a", "10", "--k-max", "150", "--below", "2000"],
+     {"scipy.special"}),
+    (["threshold", "--F", "0", "--d", PI_STR, "--i", "3"], set()),
     (["figure", "--F", "0.01", "--d", "1", "--a-min", "0.5", "--a-max", "2",
-      "--steps", "5"], {"scipy.special"}),
+      "--steps", "5"], set()),
     (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3",
       "--method", "fd", "--nodes", "200"], {"scipy.linalg"}),
     (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3",
       "--method", "asymptotic-strong"], {"scipy.special"}),
-], ids=["import", "levels", "certify", "bracket", "threshold", "figure", "levels-fd",
-        "levels-strong"])
+], ids=["import", "levels", "certify", "bracket", "bracket-miss", "threshold", "figure",
+        "levels-fd", "levels-strong"])
 def test_entry_point_loads_only_the_scipy_it_calls(argv, expected):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

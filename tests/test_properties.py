@@ -4,6 +4,9 @@ Examples are drawn deterministically (``derandomize``) so every run checks
 the same points; F is drawn log-uniformly over [1e-2, 1e3] (over {0} and
 [1e-2, 1e2] for certificates), the window radius log-uniformly over [0.05, 20]
 (for the certified count, uniformly below 0.95 of the order-64 cap).
+Bessel zeros are read in random order from up to three orders m <= 64, at
+indices k <= 300, so one table is filled both from the shipped prefix
+(k <= 100) and from scipy.
 """
 
 import math
@@ -12,6 +15,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 from starklayer import bracket, certify, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
@@ -87,3 +91,17 @@ def test_certificate_is_negative_and_matches_its_decomposition(F, d, a):
     spec = cert.spec
     decomposition = cert.coeff_A * spec.tau + cert.coeff_B * spec.eps ** 2 - cert.coeff_C * spec.eps
     assert abs(cert.q_value - decomposition) <= 1e-6 * abs(cert.q_value)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_bessel_zero_is_scipys_in_any_access_order(data):
+    # The memo holds scipy's value whether the shipped prefix or a jn_zeros
+    # fetch filled it, so no access order can change a zero.
+    orders = data.draw(st.lists(st.integers(0, specfun.MAX_BESSEL_ORDER),
+                                min_size=1, max_size=3, unique=True))
+    reads = data.draw(st.lists(st.tuples(st.sampled_from(orders), st.integers(1, 300)),
+                               min_size=1, max_size=12))
+    table = specfun.BesselZeroTable()
+    for m, k in reads:
+        assert specfun.bessel_zero(m, k, table=table) == float(jn_zeros(m, k)[k - 1])

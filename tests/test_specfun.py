@@ -198,6 +198,10 @@ def test_zero_table_memoization(monkeypatch):
     table = specfun.BesselZeroTable()
     val = specfun.bessel_zero(3, 2, table=table)
     assert table.entries[(3, 2)] == val
+    assert calls == []   # inside the shipped prefix
+    deep = specfun.bessel_zero(3, 150, table=table)
+    assert table.entries[(3, 150)] == deep
+    assert specfun.bessel_zero(3, 150, table=table) == deep
     assert specfun.bessel_zero(3, 2, table=table) == val
     assert len(calls) == 1
 
@@ -214,7 +218,15 @@ def test_zero_table_ascending_sweep_fetches_geometrically(monkeypatch):
     table = specfun.BesselZeroTable()
     sweep = [specfun.bessel_zero(5, k, table=table) for k in range(1, 201)]
     assert sweep == [float(z) for z in real(5, 200)]
-    assert counts == [1, 2, 4, 8, 16, 32, 64, 128, 256]
+    assert counts == [200]   # k <= 100 from the shipped prefix, then twice its depth
+
+
+def test_shipped_zeros_are_scipys():
+    shipped = specfun._shipped_zeros()
+    assert shipped.shape == (specfun.MAX_BESSEL_ORDER + 1, 100)
+    assert shipped.dtype == np.float64
+    assert np.array_equal(shipped, [scipy.special.jn_zeros(m, 100)
+                                    for m in range(specfun.MAX_BESSEL_ORDER + 1)])
 
 
 def test_integrate_exact_cases():
