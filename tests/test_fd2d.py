@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg import eigvalsh_tridiagonal
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh, eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence
+from test_properties import PROPERTY
 
-from starklayer import bracket, fd2d, specfun, transverse
+from starklayer import bracket, cli, fd2d, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
 
 PI = math.pi
@@ -185,16 +189,84 @@ def test_lowest_eigs_factorizes_once_through_module_splu(monkeypatch):
     # The benchmark's fd2d.splu span (and its fill ratio) wraps this attribute.
     real = fd2d.splu
     shapes = []
+    factored = []
 
     def counting(a):
         shapes.append(a.shape)
-        return real(a)
+        lu = real(a)
+        factored.append((a, lu))
+        return lu
 
     monkeypatch.setattr(fd2d, "splu", counting)
     p = WaveguideParams(F=1.0, d=PI, a=3.0)
     op = fd2d.assemble(p, fd2d.CylGrid(16, 16, 12.0, PI), fd2d.WindowBC(TF))
     assert len(fd2d.lowest_eigs(op, 2).values) == 2
     assert shapes == [(op.dimension, op.dimension)]
+
+    # One symmetric permutation and positive pivots: the SPD factorization.
+    a, lu = factored[0]
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.all(lu.U.diagonal() > 0.0)
+    # Symmetric-mode ordering fills less than scipy's default unsymmetric LU.
+    default = scipy.sparse.linalg.splu(a)
+    fill = (lu.L.nnz + lu.U.nnz) / a.nnz
+    assert fill < (default.L.nnz + default.U.nnz) / a.nnz
+
+
+def test_lowest_eigs_rejects_a_shift_above_the_lowest_eigenvalue(monkeypatch):
+    # Factor A - (shift + c) I with shift + c between the two lowest eigenvalues:
+    # one pivot turns negative, and the guard must refuse the factorization.
+    p = WaveguideParams(F=1.0, d=PI, a=3.0)
+    op = fd2d.assemble(p, fd2d.CylGrid(16, 16, 12.0, PI), fd2d.WindowBC(TF))
+    lam = eigvalsh(op.matrix.toarray(), subset_by_index=(0, 1))
+    c = 0.5 * (lam[0] + lam[1]) - 0.9 * op.spectral_floor
+    real = fd2d.splu
+    monkeypatch.setattr(fd2d, "splu", lambda a: real(
+        scipy.sparse.csc_matrix(a - c * scipy.sparse.identity(a.shape[0], format="csc"))))
+    with pytest.raises(fd2d.ConvergenceError):
+        fd2d.lowest_eigs(op, 2)
+
+
+def test_solve2d_coarse_z_grid_prints_the_lowest_eigenvalues(capsys):
+    # 0.9 x the continuum ND level lies above this coarse grid's whole spectrum,
+    # where ARPACK finds 239.590 and 263.193 instead of the lowest eigenvalues.
+    argv = ["solve2d", "--F", "10000", "--d", "3.141592653589793", "--a", "1",
+            "--problem", "inner-neumann", "--nr", "8", "--nz", "8", "--k", "2"]
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    op = fd2d.assemble(WaveguideParams(F=1e4, d=PI, a=1.0), fd2d.CylGrid(8, 8, 1.0, PI),
+                       fd2d.WindowBC(IN))
+    dense = eigvalsh(op.matrix.toarray(), subset_by_index=(0, 1))
+    assert [float(r[1]) for r in rows] == pytest.approx(dense, rel=1e-9)
+
+
+def test_lowest_eigs_strong_field_default_z_grid():
+    op = fd2d.assemble(WaveguideParams(F=1e4, d=PI, a=1.0), fd2d.CylGrid(8, 64, 1.0, PI),
+                       fd2d.WindowBC(IN))
+    dense = eigvalsh(op.matrix.toarray(), subset_by_index=(0, 1))
+    assert fd2d.lowest_eigs(op, 2).values == pytest.approx(dense, rel=1e-9)
+
+
+@PROPERTY
+@given(F=st.just(0.0) | st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e),
+       d=st.floats(0.5, 4.0), a=st.floats(0.2, 5.0),
+       nr=st.integers(8, 20), nz=st.integers(8, 20),
+       kind=st.sampled_from(list(fd2d.BCKind)), m=st.integers(0, 2), k=st.integers(1, 3))
+def test_lowest_eigs_are_the_lowest_or_fail_fast(F, d, a, nr, nz, kind, m, k):
+    p = WaveguideParams(F=F, d=d, a=a)
+    r_max = 8.0 * a if kind is TF else a
+    op = fd2d.assemble(p, fd2d.CylGrid(nr, nz, r_max, d), fd2d.WindowBC(kind, m))
+    mat = op.matrix.toarray()
+    dense = eigvalsh(mat)
+    # Inner-neumann m = 0 has lambda_min == floor exactly, so allow for the dense
+    # solver's own absolute error, a few eps * |A|.
+    slack = 4.0 * np.finfo(float).eps * np.abs(mat).sum(axis=1).max()
+    assert op.spectral_floor <= dense[0] * (1.0 + 1e-12) + slack
+    try:
+        got = fd2d.lowest_eigs(op, k).values
+    except fd2d.ConvergenceError:
+        return
+    assert got == pytest.approx(dense[:k], rel=1e-9)
 
 
 def test_deterministic_eigensolver():
