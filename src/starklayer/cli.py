@@ -181,25 +181,20 @@ def _cmd_certify(config: RunConfig):
 def _cmd_solve2d(config: RunConfig):
     params = config.params()
     kind = _PROBLEM_NAMES[config.options["problem"]]
-    nr = config.options["nr"]
-    nz = config.options["nz"]
-    k = config.options["k"]
     m = config.options["m"]
     win = bracket.window(params)
-    if kind is fd2d.BCKind.TRUNCATED_FULL:
-        r_max = config.options.get("r_max") or 8.0 * params.a
-        grid = fd2d.CylGrid(nr, nz, r_max, params.d)
-        op = fd2d.assemble(params, grid, fd2d.WindowBC(kind, m))
-        res = fd2d.lowest_eigs(op, k)
-        header = ["k", "lambda", "residual", "below_edge"]
-        rows = [(i + 1, v, r, v < win.upper)
-                for i, (v, r) in enumerate(zip(res.values, res.residuals))]
-    else:
-        grid = fd2d.CylGrid(nr, nz, params.a, params.d)
-        op = fd2d.assemble(params, grid, fd2d.WindowBC(kind, m))
-        res = fd2d.lowest_eigs(op, k)
-        header = ["k", "lambda", "residual"]
-        rows = [(i + 1, v, r) for i, (v, r) in enumerate(zip(res.values, res.residuals))]
+    window_problem = kind is fd2d.BCKind.TRUNCATED_FULL
+    r_max = config.options["r_max"]
+    if r_max is None:
+        r_max = 8.0 * params.a if window_problem else params.a
+    grid = fd2d.CylGrid(config.options["nr"], config.options["nz"], r_max, params.d)
+    res = fd2d.lowest_eigs(fd2d.assemble(params, grid, fd2d.WindowBC(kind, m)),
+                           config.options["k"])
+    header = ["k", "lambda", "residual"]
+    rows = [(i + 1, v, r) for i, (v, r) in enumerate(zip(res.values, res.residuals))]
+    if window_problem:
+        header.append("below_edge")
+        rows = [row + (row[1] < win.upper,) for row in rows]
     payload = {
         "method": "fd",
         "problem": config.options["problem"],

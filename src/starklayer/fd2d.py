@@ -129,7 +129,6 @@ class CylOperator:
     grid: CylGrid
     bc: WindowBC
     params: WaveguideParams
-    active_index: np.ndarray   # (nr, nz+1) -> flat index or -1
     spectral_floor: float      # lowest eigenvalue of the grid's 1-D z operator
 
     @property
@@ -228,8 +227,7 @@ def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperato
     z_off = -1.0 / (h_z * h_z * np.sqrt(wz[:nz - 1] * wz[1:nz]))
     from scipy.linalg import eigvalsh_tridiagonal
     floor = float(eigvalsh_tridiagonal(z_diag, z_off, select="i", select_range=(0, 0))[0])
-    return CylOperator(matrix=matrix, grid=grid, bc=bc, params=params, active_index=index,
-                       spectral_floor=floor)
+    return CylOperator(matrix=matrix, grid=grid, bc=bc, params=params, spectral_floor=floor)
 
 
 @dataclass(frozen=True)

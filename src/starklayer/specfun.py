@@ -6,14 +6,18 @@ tolerances live here in one place (``TOLERANCES``).
 
 Evaluation strategy
 -------------------
-* Airy functions: Maclaurin series for ``|x| <= 8`` summed in compensated
-  double-double arithmetic (the two fundamental solutions cancel to
-  ``~exp(-2*xi)`` of their size on the positive axis, which plain doubles
-  cannot survive); exponentially scaled asymptotic expansions for ``x > 8``;
-  modulus/phase asymptotics for ``x < -8`` with the phase carried in extended
-  precision.  For ``x > 0`` results are stored scaled by ``exp(±xi)``,
-  ``xi = (2/3) x**1.5``, so both the decaying and the growing solution stay
-  representable for ``x`` up to at least ``1e4``.
+* Airy functions: for ``|x| <= 8``, degree-16 Chebyshev interpolants of Ai,
+  Ai', Bi and Bi' on the 16 unit pieces of [-8, 8], shipped as
+  ``_airy_cheb.npy`` (generated from mpmath by ``tests/oracles.py``) and
+  summed by one Clenshaw recurrence for all four functions.  Pieces below
+  ``x = 2`` hold the raw values; the pieces above hold the scaled values
+  ``Ai*e^xi`` and ``Bi*e^-xi``, which are smooth there (``x**1.5`` is not
+  analytic at 0) and carry the decaying solution without the cancellation a
+  raw fit would suffer.  Exponentially scaled asymptotic expansions for
+  ``x > 8``; modulus/phase asymptotics for ``x < -8`` with the phase carried
+  in extended precision.  For ``x > 0`` results are stored scaled by
+  ``exp(±xi)``, ``xi = (2/3) x**1.5``, so both the decaying and the growing
+  solution stay representable for ``x`` up to at least ``1e4``.
 * Airy zeros: ``scipy.special.ai_zeros``, which returns the first n zeros
   of Ai and of Ai'; the n-th is the last of them.
 * Bessel ``J_m``: ``scipy.special.jv``, behind the order cap.
@@ -23,7 +27,8 @@ Evaluation strategy
   memoized in a lock-protected table, filled a whole prefix of indices at a
   time.  ``scipy.special`` is imported on first use (an Airy-zero or
   ``bessel_j`` call, or a zero-table miss above the shipped prefix), so the
-  Airy-function, quadrature and shipped-zero paths never load scipy.
+  Airy-function, quadrature and shipped-zero paths never load scipy.  Each
+  shipped table is read on its first use, not at import.
 
 Relative-error statements for the oscillatory regimes are with respect to the
 local envelope (any fixed-precision value has unbounded relative error at a
@@ -39,8 +44,6 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-
-from . import _dd
 
 __all__ = [
     "AiryPair",
@@ -68,17 +71,11 @@ TOLERANCES = {
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ZERO_INDEX = 1000
 
-MAX_CALL_POINTS = 1 << 15   # abscissae per kernel or integrand call (airy_grid: about 12 MB)
+MAX_CALL_POINTS = 1 << 15   # abscissae per kernel or integrand call (airy_grid: about 6 MB)
 
-_SERIES_CUT = 8.0         # Maclaurin series for |x| <= cut, asymptotics beyond
-_SERIES_TERMS = 56
+_SERIES_CUT = 8.0         # Chebyshev table for |x| <= cut, asymptotics beyond
+_CHEB_SCALED_FROM = 2.0   # table pieces from here up hold scaled values
 _ASYM_TERMS = 40
-
-# Ai(0), Ai'(0) and sqrt(3) as double-double (hi, lo) pairs.
-_AI0 = (0.3550280538878172, 2.05233632436212e-17)
-_AIP0 = (-0.2588194037928068, 2.522243111610832e-17)
-_AIP0_NEG = (0.2588194037928068, -2.522243111610832e-17)
-_SQRT3 = (1.7320508075688772, 1.0035084221806903e-16)
 
 _PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 
@@ -125,37 +122,25 @@ class AiryPair:
         return math.pi * (self.ai * self.bip - self.aip * self.bi) - 1.0
 
 
-def _airy_series(x):
-    """Raw Ai, Ai', Bi, Bi' on ``|x| <= 8`` by double-double Maclaurin series."""
-    zero = np.zeros_like(x)
-    x_dd = (x, zero)
-    x2 = _dd.two_prod(x, x)
-    x3 = _dd.mul(x2, x_dd)
+def _airy_cheb(x):
+    """(n, 4) Ai, Ai', Bi, Bi' on ``|x| <= _SERIES_CUT`` from the shipped Chebyshev table.
 
-    t = (np.ones_like(x), zero)          # f terms
-    u = (x, zero)                        # g terms
-    s = _dd.div_float(x2, 2.0)           # f' terms, starts at k=1
-    v = (np.ones_like(x), zero)          # g' terms
-
-    f_sum, g_sum, fp_sum, gp_sum = t, u, s, v
-    for k in range(1, _SERIES_TERMS + 1):
-        t = _dd.div_float(_dd.mul(t, x3), float((3 * k) * (3 * k - 1)))
-        u = _dd.div_float(_dd.mul(u, x3), float((3 * k + 1) * (3 * k)))
-        if k >= 2:
-            s = _dd.div_float(_dd.mul(s, x3), float((3 * k - 1) * (3 * k - 3)))
-            fp_sum = _dd.add(fp_sum, s)
-        v = _dd.div_float(_dd.mul(v, x3), float((3 * k) * (3 * k - 2)))
-        f_sum = _dd.add(f_sum, t)
-        g_sum = _dd.add(g_sum, u)
-        gp_sum = _dd.add(gp_sum, v)
-        if k % 8 == 0 and np.max(np.abs(t[0])) < 1e-35 * max(np.max(np.abs(f_sum[0])), 1.0):
-            break
-
-    ai = _dd.add(_dd.mul(_AI0, f_sum), _dd.mul(_AIP0, g_sum))
-    aip = _dd.add(_dd.mul(_AI0, fp_sum), _dd.mul(_AIP0, gp_sum))
-    bi = _dd.mul(_SQRT3, _dd.add(_dd.mul(_AI0, f_sum), _dd.mul(_AIP0_NEG, g_sum)))
-    bip = _dd.mul(_SQRT3, _dd.add(_dd.mul(_AI0, fp_sum), _dd.mul(_AIP0_NEG, gp_sum)))
-    return _dd.to_float(ai), _dd.to_float(aip), _dd.to_float(bi), _dd.to_float(bip)
+    One Clenshaw recurrence evaluates all four functions, reading one degree
+    of coefficients per step.  The values are scaled (see :class:`AiryPair`)
+    from ``_CHEB_SCALED_FROM`` up and raw below it.
+    """
+    coef = _shipped("_airy_cheb.npy")
+    piece = (np.minimum(np.floor(x), _SERIES_CUT - 1.0) + _SERIES_CUT).astype(np.intp)
+    t = 2.0 * (x - (piece - (_SERIES_CUT - 0.5)))[:, None]
+    b1 = np.zeros((x.size, 4))
+    b2 = np.zeros((x.size, 4))
+    for k in range(coef.shape[1] - 1, -1, -1):
+        # b_k = c_k + 2 t b_{k+1} - b_{k+2}, written over b_{k+2}; the value
+        # sum c_k T_k(t) is the last step, which takes t for 2 t.
+        np.subtract(coef[piece, k], b2, out=b2)
+        b2 += (2.0 * t if k else t) * b1
+        b1, b2 = b2, b1
+    return b1
 
 
 def _airy_asym_pos(x):
@@ -238,7 +223,9 @@ def airy_grid(x):
     """Vectorized Airy evaluation.
 
     Returns ``(ai, aip, bi, bip, scale_exp)`` arrays under the same scaling
-    contract as :class:`AiryPair`.
+    contract as :class:`AiryPair`.  Points with ``|x| <= 8`` are summed from
+    the shipped Chebyshev table (within 2e-15 of the scaled value, or of the
+    envelope for ``x < 0``), the others by the asymptotic expansions.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -258,9 +245,9 @@ def airy_grid(x):
 
     if np.any(ser):
         xs = x[ser]
-        a, ap, b, bp = _airy_series(xs)
+        a, ap, b, bp = _airy_cheb(xs).T
         xi = np.where(xs > 0.0, (2.0 / 3.0) * np.abs(xs) ** 1.5, 0.0)
-        es = np.exp(xi)
+        es = np.where(xs < _CHEB_SCALED_FROM, np.exp(xi), 1.0)
         ai[ser] = a * es
         aip[ser] = ap * es
         bi[ser] = b / es
@@ -358,9 +345,13 @@ _DEFAULT_ZEROS = BesselZeroTable()
 
 
 @cache
-def _shipped_zeros() -> np.ndarray:
-    """``np.array([jn_zeros(m, 100) for m in range(MAX_BESSEL_ORDER + 1)])``, read once."""
-    return np.load(Path(__file__).with_name("_jn_zeros.npy"))
+def _shipped(name: str) -> np.ndarray:
+    """A table shipped with the package, read on first use.
+
+    ``_jn_zeros.npy``: ``[jn_zeros(m, 100) for m in range(MAX_BESSEL_ORDER + 1)]``.
+    ``_airy_cheb.npy``: the Chebyshev coefficients of ``tests/oracles.airy_cheb_table``.
+    """
+    return np.load(Path(__file__).with_name(name))
 
 
 def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
@@ -383,7 +374,7 @@ def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
     if cached is not None:
         return cached
 
-    shipped = _shipped_zeros()
+    shipped = _shipped("_jn_zeros.npy")
     if m < shipped.shape[0] and k <= shipped.shape[1]:
         zeros = shipped[m]
     else:

@@ -1,11 +1,13 @@
 """Independent high-precision oracles for pinning expected values.
 
-Everything here is summed from defining power series with mpmath
-multiprecision arithmetic; the production code paths (compensated doubles,
-asymptotic expansions, recurrences) share nothing with these routines.
+Everything here is computed with mpmath multiprecision arithmetic, mostly
+summed from defining power series; the production code paths (Chebyshev
+tables, asymptotic expansions, recurrences) share nothing with these routines.
+``airy_cheb_table`` also generates the shipped table ``_airy_cheb.npy``.
 """
 
 import mpmath as mp
+import numpy as np
 
 
 def airy_series(x, dps=60):
@@ -89,3 +91,38 @@ def bessel_zero_oracle(m, k_bracket, dps=50):
     """A Bessel zero via bisection on the series oracle within a given bracket."""
     lo, hi = k_bracket
     return bisect(lambda x: bessel_series(m, x, dps=dps), lo, hi, dps=dps)
+
+
+def airy_cheb_table(cut=8, scaled_from=2, degree=16, dps=40):
+    """Chebyshev coefficients of Ai, Ai', Bi, Bi' on the unit pieces of [-cut, cut].
+
+    Entry ``[p, k, f]`` is the coefficient of ``T_k(t)`` for function ``f``
+    on piece ``p`` = [p - cut, p - cut + 1], with ``t = 2 (x - mid)`` and the
+    constant term halved, so the piece's value is ``sum_k c_k T_k(t)``.
+    Pieces from ``scaled_from`` up hold Ai e^xi, Ai' e^xi, Bi e^-xi and
+    Bi' e^-xi (xi = (2/3) x^(3/2)); the pieces below hold the raw values.
+    Each coefficient is the cosine sum over the ``degree + 1`` first-kind
+    Chebyshev nodes, with mpmath's ``airyai``/``airybi`` at ``dps`` digits.
+    Regenerate the shipped table from ``tests/`` with
+    ``python -c "import numpy, oracles; numpy.save('../src/starklayer/_airy_cheb.npy', oracles.airy_cheb_table())"``.
+    """
+    n = degree + 1
+    table = np.empty((2 * cut, n, 4))
+    with mp.workdps(dps):
+        theta = [mp.pi * (i + mp.mpf(0.5)) / n for i in range(n)]
+        for p in range(2 * cut):
+            lo = p - cut
+            rows = []
+            for th in theta:
+                x = lo + (1 + mp.cos(th)) / 2
+                f = [mp.airyai(x), mp.airyai(x, derivative=1),
+                     mp.airybi(x), mp.airybi(x, derivative=1)]
+                if lo >= scaled_from:
+                    e = mp.exp(2 * x ** mp.mpf(1.5) / 3)
+                    f = [f[0] * e, f[1] * e, f[2] / e, f[3] / e]
+                rows.append(f)
+            for k in range(n):
+                for j in range(4):
+                    c = 2 * mp.fsum(row[j] * mp.cos(k * th) for row, th in zip(rows, theta)) / n
+                    table[p, k, j] = c / 2 if k == 0 else c
+    return table

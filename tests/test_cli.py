@@ -125,6 +125,19 @@ def test_solve2d_window_below_edge_flag():
     assert float(parts[1]) < 1.0
 
 
+@pytest.mark.parametrize("problem, r_max", [("inner-dirichlet", "5"), ("inner-neumann", "5"),
+                                            ("window", "0"), ("inner-dirichlet", "0")])
+def test_solve2d_rejects_r_max_the_problem_cannot_take(capsys, problem, r_max):
+    # An inner problem is solved on r <= a and a grid needs r_max > 0: neither
+    # may be replaced by a default in silence.
+    code = cli.main(["solve2d", "--F", "1", "--d", "1", "--a", "1", "--problem", problem,
+                     "--r-max", r_max, "--nr", "8", "--nz", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_byte_identical_reruns():
     argv = ["figure", "--F", "100", "--d", "1", "--a-min", "0.1", "--a-max", "3",
             "--steps", "40"]

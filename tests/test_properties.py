@@ -1,9 +1,11 @@
 """Analytic facts of the transverse spectra and certificates, checked over parameter ranges.
 
 Examples are drawn deterministically (``derandomize``) so every run checks
-the same points; F is drawn log-uniformly over [1e-2, 1e3] (over {0} and
-[1e-2, 1e2] for certificates), the window radius log-uniformly over [0.05, 20]
-(for the certified count, uniformly below 0.95 of the order-64 cap).
+the same points; Airy arguments are drawn uniformly over [-8.5, 8.5], plus
+every piece boundary of the Chebyshev table and the doubles beside it; F is
+drawn log-uniformly over [1e-2, 1e3] (over {0} and [1e-2, 1e2] for
+certificates), the window radius log-uniformly over [0.05, 20] (for the
+certified count, uniformly below 0.95 of the order-64 cap).
 Bessel zeros are read in random order from up to three orders m <= 64, at
 indices k <= 300, so one table is filled both from the shipped prefix
 (k <= 100) and from scipy.
@@ -12,8 +14,10 @@ indices k <= 300, so one table is filled both from the shipped prefix
 import math
 from datetime import timedelta
 
+import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
@@ -105,3 +109,35 @@ def test_bessel_zero_is_scipys_in_any_access_order(data):
     table = specfun.BesselZeroTable()
     for m, k in reads:
         assert specfun.bessel_zero(m, k, table=table) == float(jn_zeros(m, k)[k - 1])
+
+
+def _at_table_piece_edges(test):
+    # Every integer of [-8, 8] bounds a table piece; x = 2 also switches from
+    # raw to scaled pieces, and the doubles beside +-8 take the asymptotics.
+    cut = int(specfun._SERIES_CUT)
+    for b in range(-cut, cut + 1):
+        for x in (math.nextafter(b, -math.inf), float(b), math.nextafter(b, math.inf)):
+            test = example(x=x)(test)
+    return test
+
+
+@PROPERTY
+@_at_table_piece_edges
+@given(x=st.floats(-8.5, 8.5))
+def test_airy_grid_matches_mpmath(x):
+    # Relative to the scaled value for x >= 0, to the envelope sqrt(Ai^2 + Bi^2)
+    # (sqrt(Ai'^2 + Bi'^2) for the derivatives) for x < 0.  Past the table the
+    # asymptotic expansions are up to 7.3e-15 off, so they are held to 1e-14.
+    got = [float(v[0]) for v in specfun.airy_grid(np.array([x]))[:4]]
+    with mp.workdps(40):
+        want = [mp.airyai(x), mp.airyai(x, derivative=1), mp.airybi(x), mp.airybi(x, derivative=1)]
+        if x >= 0.0:
+            e = mp.exp(2 * mp.mpf(x) ** mp.mpf(1.5) / 3)
+            want = [want[0] * e, want[1] * e, want[2] / e, want[3] / e]
+            scales = [abs(w) for w in want]
+        else:
+            env = mp.sqrt(want[0] ** 2 + want[2] ** 2)
+            env_prime = mp.sqrt(want[1] ** 2 + want[3] ** 2)
+            scales = [env, env_prime, env, env_prime]
+        errors = [float(abs(g - w) / s) for g, w, s in zip(got, want, scales)]
+    assert max(errors) <= (2e-15 if abs(x) <= specfun._SERIES_CUT else 1e-14)

@@ -1,6 +1,10 @@
 """Special-function kernel tests against independent series oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -95,6 +99,47 @@ def test_airy_zeros_match_mpmath_first_hundred():
     for zero in (specfun.airy_ai_zero, specfun.airy_aip_zero):
         with pytest.raises(ValueError):
             zero(0)
+
+
+def test_shipped_airy_table_is_the_oracles():
+    cut = int(specfun._SERIES_CUT)
+    shipped = specfun._shipped("_airy_cheb.npy")
+    assert shipped.shape == (2 * cut, 17, 4)
+    assert shipped.dtype == np.float64
+    assert np.array_equal(shipped, oracles.airy_cheb_table(cut, specfun._CHEB_SCALED_FROM))
+
+
+def test_airy_table_read_on_first_table_call():
+    specfun._shipped.cache_clear()
+    specfun.airy_grid(np.array([-9.0, 9.0]))   # asymptotic branches only
+    assert specfun._shipped.cache_info().currsize == 0
+    specfun.airy_grid(np.array([0.5]))
+    assert specfun._shipped.cache_info().currsize == 1
+
+
+def test_airy_grid_peak_memory_at_the_call_point_cap():
+    # The recurrence gathers one degree of coefficients at a time; gathering
+    # the whole (n, 17, 4) block at once would exceed this bound.
+    x = np.linspace(-8.0, 8.0, specfun.MAX_CALL_POINTS)
+    specfun.airy_grid(x[:1])
+    tracemalloc.start()
+    try:
+        specfun.airy_grid(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_double_double_module_is_gone():
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("try:\n    import starklayer._dd\n"
+             "except ModuleNotFoundError:\n    print('gone')\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout == "gone\n"
 
 
 def test_airy_rejects_nonfinite():
@@ -222,7 +267,7 @@ def test_zero_table_ascending_sweep_fetches_geometrically(monkeypatch):
 
 
 def test_shipped_zeros_are_scipys():
-    shipped = specfun._shipped_zeros()
+    shipped = specfun._shipped("_jn_zeros.npy")
     assert shipped.shape == (specfun.MAX_BESSEL_ORDER + 1, 100)
     assert shipped.dtype == np.float64
     assert np.array_equal(shipped, [scipy.special.jn_zeros(m, 100)
