@@ -1,22 +1,30 @@
 """Constructive bound-state certificates for the windowed layer.
 
-Builds the trial function ``Phi(r, z) = phi_tau(r) * (chi_1(z) + eps*phi(r)^2)``
-from a fixed mollifier bump ``phi`` supported in the window and a logarithmic
-dilation ``phi_tau`` of a smoothstep cutoff, then evaluates
+The trial function is
 
-    Q[Phi] = Q_r[Phi] - edge * ||Phi||^2 = A*tau + B*eps^2 - C*eps.
+    Phi(r, z) = phi_tau(r) * chi_1(z) + eps * phi(r)^2 * (1 - z/d),
 
-``A, C > 0`` always, so suitable ``(eps, tau)`` drive ``Q`` negative: a
+with ``chi_1`` the Dirichlet-Dirichlet transverse ground state, ``phi`` a
+fixed mollifier bump supported in the window ``r < a`` and ``phi_tau`` a
+logarithmic dilation of a smoothstep cutoff that equals 1 on ``[0, b]``,
+``b > a``.  Phi must vanish wherever the wall is Dirichlet: on the whole top
+wall ``z = d`` and on the bottom wall outside the window.  The bump term
+carries ``1 - z/d`` so that it vanishes at ``z = d``; at ``z = 0`` it is
+``phi(r)^2``, nonzero only inside the Neumann window.
+
+Since ``phi_tau = 1`` on the bump's support, the defining integrals of
+
+    Q[Phi] = Q_r[Phi] - edge * ||Phi||^2 = A*tau + B*eps^2 - C*eps
+
+reduce exactly.  The log substitution ``s = b + tau*(ln r - ln b)`` turns the
+cutoff gradient into ``tau`` times the profile's, ``A = 2*pi*10/7``, and the
+eigenvalue equation of ``chi_1`` annihilates the rest of the cutoff block.
+The bump block is ``B = 2*pi*[I_g*d/3 + a^2*I_4*(1/d + F*d^2/12 - lam*d/3)]``.
+Integrating the cross term by parts with ``chi_1'' = (F z - lam) chi_1``
+leaves only the boundary term at the window, ``C = 4*pi*a^2*I_2*chi_1'(0)``.
+``A, C > 0`` always, so suitable ``(eps, tau)`` drive Q negative: a
 computable witness that the discrete spectrum below the essential-spectrum
-edge is nonempty.  Quadrature of the defining integrals is the source of
-truth; the coefficient decomposition is assembled through independent routes
-(endpoint derivatives of the transverse ground state vs. direct z-quadrature)
-so the two can be cross-checked.
-
-The eigenvalue identity of ``chi_1`` makes the would-be divergent tail
-integral ``||phi_tau||^2 * 0`` vanish exactly, and the log substitution
-``s = b + tau*(ln r - ln b)`` maps the infinite cutoff tail onto the finite
-decay interval, so no truncation error enters the radial integrals.
+edge is nonempty.
 """
 
 from __future__ import annotations
@@ -26,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .bracket import SpectralWindow, window
-from .transverse import BoundaryType, WaveguideParams, chi, chi_prime, ground_level
+from .transverse import BoundaryType, WaveguideParams, chi_prime, ground_level
 
 __all__ = [
     "TrialSpec",
@@ -40,16 +47,23 @@ __all__ = [
     "cutoff_profile_prime",
     "cutoff_dilated",
     "cutoff_dilated_prime",
-    "grad_norm_cutoff",
     "q_functional",
     "coefficients",
     "certify",
 ]
 
 CUTOFF_DECAY_WIDTH = 1.0   # decay interval [b, b+1]; keeps the tau-coefficient universal
-QUAD_REL = 1e-11           # quadrature target relative to the integral's scale
 
-_PHI_DESCRIPTION = "exp(-1/(1-((2r-a)/a)^2)) for r in (0,a), 0 outside"
+# Moments of the unit bump g(s) = bump(s, 1) over (0, 1), by mpmath at 30
+# digits (tests/oracles.py::bump_moments): int g^2 s ds, int g^4 s ds and
+# int ((g^2)')^2 s ds.  bump(r, a) = g(r/a), so the first two scale as a^2
+# and the last does not scale.
+_BUMP_I2 = 0.033271530211248567889
+_BUMP_I4 = 0.0035149292033048281196
+_BUMP_IG = 0.0532714369890281506
+
+_PHI_DESCRIPTION = ("exp(-1/(1-((2r-a)/a)^2)) for r in (0,a), 0 outside; "
+                    "the bump term is eps*phi(r)^2*(1 - z/d)")
 _VARPHI_DESCRIPTION = ("1 on [0,b], quintic smoothstep decay to 0 on [b,b+1], "
                        "dilated through s = b + tau*(ln r - ln b) for r >= b")
 
@@ -157,97 +171,45 @@ def cutoff_dilated_prime(r, b: float, tau: float):
     return float(out) if np.isscalar(r) else out
 
 
-def grad_norm_cutoff(b: float) -> float:
-    """``||phi'||^2`` of the undilated profile over the decay interval (equals 10/7 / width)."""
-    return specfun.integrate(lambda s: cutoff_profile_prime(s, b) ** 2,
-                             b, b + CUTOFF_DECAY_WIDTH, QUAD_REL)
-
-
-def _bump_integrals(a: float):
-    """(int phi^2 r dr, int (d(phi^2)/dr)^2 r dr, int phi^4 r dr) over (0, a)."""
-    scale = max(a * a, 1e-8)
-    i_phi2 = specfun.integrate(lambda r: bump(r, a) ** 2 * r, 0.0, a, QUAD_REL * scale)
-    i_grad = specfun.integrate(lambda r: (2.0 * bump(r, a) * bump_prime(r, a)) ** 2 * r,
-                               0.0, a, QUAD_REL * max(1.0, scale))
-    i_phi4 = specfun.integrate(lambda r: bump(r, a) ** 4 * r, 0.0, a, QUAD_REL * scale)
-    return i_phi2, i_grad, i_phi4
-
-
 def coefficients(params: WaveguideParams, spec: TrialSpec):
-    """Coefficients (A, B, C) of ``Q = A*tau + B*eps^2 - C*eps``.
+    """Coefficients (A, B, C) of ``Q = A*tau + B*eps^2 - C*eps``, in closed form.
 
-    A is universal (the fixed cutoff profile); B comes from the bump block by
-    direct quadrature; C uses the endpoint derivatives of the ground state,
-    the integrated form of ``-chi_1''``.
+    A is universal (the fixed cutoff profile); B is the bump block over the
+    z-profile ``1 - z/d``; C is the boundary term ``chi_1'(0)`` left by
+    integrating the cross term by parts.
     """
     level = ground_level(params.F, params.d, BoundaryType.DIRICHLET_DIRICHLET)
     lam = level.lam
     d = params.d
+    a2 = spec.a * spec.a
 
-    A = 2.0 * math.pi * grad_norm_cutoff(spec.b)
-    i_phi2, i_grad, i_phi4 = _bump_integrals(spec.a)
-    B = 2.0 * math.pi * (d * i_grad + (params.F * d * d / 2.0 - lam * d) * i_phi4)
-    slope_drop = chi_prime(level, params, 0.0) - chi_prime(level, params, d)
-    C = 2.0 * slope_drop * 2.0 * math.pi * i_phi2
+    # ||p'||^2 = 900 * B(5, 5) / width = (10/7) / width for the quintic smoothstep.
+    A = 2.0 * math.pi * (10.0 / 7.0) / CUTOFF_DECAY_WIDTH
+    B = 2.0 * math.pi * (_BUMP_IG * d / 3.0
+                         + a2 * _BUMP_I4 * (1.0 / d + params.F * d * d / 12.0 - lam * d / 3.0))
+    C = 4.0 * math.pi * a2 * _BUMP_I2 * chi_prime(level, params, 0.0)
     return A, B, C
 
 
 def q_functional(params: WaveguideParams, spec: TrialSpec) -> float:
-    """``Q[Phi]`` by quadrature of the defining integrals.
-
-    z-integrals use the exact reductions ``||chi_1|| = 1`` and the eigenvalue
-    identity where they apply and quadrature elsewhere; the cutoff tail is
-    integrated exactly through the log substitution, so nothing is truncated.
-    """
-    level = ground_level(params.F, params.d, BoundaryType.DIRICHLET_DIRICHLET)
-    lam = level.lam
-    d = params.d
-    a, b, tau, eps = spec.a, spec.b, spec.tau, spec.eps
-
-    # Cutoff block: 2*pi*tau*||phi'||^2 * ||chi_1||^2; the remaining z-factor
-    # (eigenvalue identity) is exactly zero against the divergent tail norm.
-    t_cutoff = 2.0 * math.pi * tau * grad_norm_cutoff(b)
-
-    # Bump block, z-independent: gradient and potential terms.
-    xi = lambda r: cutoff_dilated(r, b, tau) * bump(r, a) ** 2  # noqa: E731
-    xi_prime = lambda r: (cutoff_dilated_prime(r, b, tau) * bump(r, a) ** 2  # noqa: E731
-                          + cutoff_dilated(r, b, tau) * 2.0 * bump(r, a) * bump_prime(r, a))
-    scale = max(a * a, 1e-8)
-    i_xi2 = specfun.integrate(lambda r: xi(r) ** 2 * r, 0.0, a, QUAD_REL * scale)
-    i_xigrad = specfun.integrate(lambda r: xi_prime(r) ** 2 * r, 0.0, a, QUAD_REL * max(1.0, scale))
-    t_bump = eps ** 2 * 2.0 * math.pi * (d * i_xigrad
-                                         + (params.F * d * d / 2.0 - lam * d) * i_xi2)
-
-    # Cross terms: the gradient one vanishes on disjoint supports (integrated
-    # honestly); the potential one is the negative coupling to -chi_1''.
-    i_cross_grad = specfun.integrate(
-        lambda r: cutoff_dilated_prime(r, b, tau) * xi_prime(r) * r, 0.0, a,
-        QUAD_REL * max(1.0, scale))
-    z_chi = specfun.integrate(lambda z: chi(level, params, z), 0.0, d,
-                              QUAD_REL * max(1.0, d))
-    z_pot = specfun.integrate(lambda z: (params.F * z - lam) * chi(level, params, z),
-                              0.0, d, QUAD_REL * max(1.0, abs(lam) * d))
-    i_cross_pot = specfun.integrate(
-        lambda r: cutoff_dilated(r, b, tau) * xi(r) * r, 0.0, a, QUAD_REL * scale)
-    t_cross = 2.0 * eps * 2.0 * math.pi * (i_cross_grad * z_chi + i_cross_pot * z_pot)
-
-    return t_cutoff + t_cross + t_bump
+    """``Q[Phi]`` of the trial function ``spec``, in closed form."""
+    A, B, C = coefficients(params, spec)
+    return A * spec.tau + B * spec.eps ** 2 - C * spec.eps
 
 
 def certify(params: WaveguideParams, b: float | None = None) -> Certificate:
     """Produce a negative-Q certificate for the given configuration.
 
-    Picks the closed-form optimal bump amplitude (or 1 when the quadratic
-    coefficient is nonpositive), a tail rate small enough that the cutoff
-    cost stays under half the gain, then verifies by full quadrature,
-    shrinking by halving if the quadrature value disagrees in sign.
+    Picks the optimal bump amplitude ``eps = C/(2B)`` (or 1 when B <= 0) and
+    a tail rate at which the cutoff cost ``A*tau`` is at most a quarter of the
+    gain ``C*eps - B*eps^2``, so Q is at most -3/4 of the gain; the closed-form
+    Q is then checked for sign against rounding.
     """
     if not params.a > 0.0:
         raise ValueError("certification requires a positive window radius")
     if b is None:
         b = 2.0 * params.a
-    probe = TrialSpec(a=params.a, b=b, tau=1.0, eps=0.0)
-    A, B, C = coefficients(params, probe)
+    A, B, C = coefficients(params, TrialSpec(a=params.a, b=b, tau=1.0, eps=0.0))
     if not (A > 0.0 and C > 0.0):
         raise CertificateError(f"coefficient signs wrong: A={A}, B={B}, C={C}")
 
@@ -256,18 +218,9 @@ def certify(params: WaveguideParams, b: float | None = None) -> Certificate:
     if gain <= 0.0:
         raise CertificateError(f"no positive gain at eps={eps}: A={A}, B={B}, C={C}")
     tau = 0.5 * min(1.0, gain / (2.0 * A))
-
-    q = math.inf
-    spec = None
-    for _ in range(41):
-        spec = TrialSpec(a=params.a, b=b, tau=tau, eps=eps)
-        q = q_functional(params, spec)
-        if q < 0.0:
-            break
-        eps *= 0.5
-        tau *= 0.5
+    spec = TrialSpec(a=params.a, b=b, tau=tau, eps=eps)
+    q = A * tau + B * eps ** 2 - C * eps
     if not q < 0.0:
-        raise CertificateError(
-            f"quadrature never confirmed Q < 0 after halvings: A={A}, B={B}, C={C}")
+        raise CertificateError(f"Q = {q} is not negative: A={A}, B={B}, C={C}")
     return Certificate(spec=spec, q_value=q, coeff_A=A, coeff_B=B, coeff_C=C,
                        window=window(params))

@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 from . import bracket, fd2d, specfun, transverse
-from .certify import QUAD_REL as _CERTIFY_QUAD_REL
 from .certify import CertificateError
 from .certify import certify as _run_certify
 from .transverse import BoundaryType, WaveguideParams
@@ -57,7 +56,6 @@ def _tolerance_report() -> dict:
     report["level_rel"] = transverse.LEVEL_REL_TOL
     report["boundary_residual"] = transverse.BOUNDARY_RESIDUAL_TOL
     report["eig_residual"] = fd2d.EIG_RESIDUAL_TOL
-    report["certify_quadrature_rel"] = _CERTIFY_QUAD_REL
     return report
 
 
@@ -165,7 +163,7 @@ def _cmd_certify(config: RunConfig):
              cert.spec.tau, cert.spec.eps, cert.spec.b,
              cert.window.lower, cert.window.upper)]
     payload = {
-        "method": "quadrature",
+        "method": "closed-form",
         "q_value": float(cert.q_value),
         "valid": bool(cert.valid),
         "coefficients": {"A": float(cert.coeff_A), "B": float(cert.coeff_B),

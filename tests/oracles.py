@@ -4,7 +4,12 @@ Everything here is computed with mpmath multiprecision arithmetic, mostly
 summed from defining power series; the production code paths (Chebyshev
 tables, asymptotic expansions, recurrences) share nothing with these routines.
 ``airy_cheb_table`` also generates the shipped table ``_airy_cheb.npy``.
+``certificate_q`` integrates the defining integrals of the certificate's Q
+with mpmath's Airy functions and quadrature; ``bump_moments`` rebuilds the
+bump moments that ``certify`` ships as literals.
 """
+
+import functools
 
 import mpmath as mp
 import numpy as np
@@ -126,3 +131,137 @@ def airy_cheb_table(cut=8, scaled_from=2, degree=16, dps=40):
                     c = 2 * mp.fsum(row[j] * mp.cos(k * th) for row, th in zip(rows, theta)) / n
                     table[p, k, j] = c / 2 if k == 0 else c
     return table
+
+
+def _unit_bump_sq(s):
+    """(g^2, (g^2)') of the unit bump g(s) = exp(-1/(1-(2s-1)^2)) at an mpf s."""
+    u = 2 * s - 1
+    one = 1 - u * u
+    if one <= 0:
+        return mp.mpf(0), mp.mpf(0)
+    g2 = mp.exp(-2 / one)
+    return g2, g2 * (-8 * u / one ** 2)
+
+
+def bump_moments(dps=30):
+    """(I_2, I_4, I_g) of the unit bump: int g^2 s, int g^4 s, int ((g^2)')^2 s over (0, 1)."""
+    with mp.workdps(dps):
+        def moment(f):
+            return mp.quad(lambda s: f(*_unit_bump_sq(s)) * s, [0, 0.5, 1])
+        return (moment(lambda g2, dg2: g2), moment(lambda g2, dg2: g2 * g2),
+                moment(lambda g2, dg2: dg2 * dg2))
+
+
+def dd_ground_state(F, d, dps=30):
+    """(lam, chi, chi') of the Dirichlet-Dirichlet ground state on [0, d] in the field F.
+
+    For F > 0, ``chi`` is ``Ai(zeta) Bi(zeta_d) - Bi(zeta) Ai(zeta_d)``, with
+    ``zeta = F^(1/3) (z - lam/F)`` and the wall pair (Ai, Bi)(zeta_d) scaled
+    to a unit vector.  It vanishes at z = d for every lam; lam is the root of
+    its value at z = 0, bracketed by the lower bounds
+    max((pi/d)^2, F^(2/3)|a_1|) of the ground level and
+    max(4 (pi/d)^2, F^(2/3)|a_2|) of the second.  ``chi`` is normalized by
+    quadrature split at the turning point min(lam/F, d).
+    """
+    with mp.workdps(dps):
+        F, d = mp.mpf(F), mp.mpf(d)
+        if F == 0:
+            lam = (mp.pi / d) ** 2
+            amp = mp.sqrt(2 / d)
+            return (lam, lambda z: amp * mp.sin(mp.pi * z / d),
+                    lambda z: amp * mp.pi / d * mp.cos(mp.pi * z / d))
+        w = mp.cbrt(F)
+
+        def shape(lam):
+            zeta_d = w * (d - lam / F)
+            ai_d, bi_d = mp.airyai(zeta_d), mp.airybi(zeta_d)
+            scale = mp.hypot(ai_d, bi_d)  # never 0: Ai and Bi share no zero
+            ai_d, bi_d = ai_d / scale, bi_d / scale
+
+            @functools.cache  # the z-integrals of one state share their nodes
+            def f(z, derivative=0):
+                zeta = w * (z - lam / F)
+                return (mp.airyai(zeta, derivative) * bi_d
+                        - mp.airybi(zeta, derivative) * ai_d) * w ** derivative
+            return f
+
+        trig = (mp.pi / d) ** 2
+        # The bounds are sharp up to exp(-(4/3) zeta_d^(3/2)) at strong field,
+        # so both are pulled in by 1e-6 to give the root a sign change.
+        lo = max(trig, w * w * -mp.airyaizero(1)) * (1 - mp.mpf(10) ** -6)
+        hi = max(4 * trig, w * w * -mp.airyaizero(2)) * (1 - mp.mpf(10) ** -6)
+        assert shape(lo)(0) * shape(hi)(0) < 0, "ground level not bracketed"
+        lam = mp.findroot(lambda x: shape(x)(0), (lo, hi), solver="anderson")
+        assert lo <= lam < hi
+        f = shape(lam)
+        norm = mp.sqrt(mp.quad(lambda z: f(z) ** 2, [0, min(lam / F, d), d]))
+        return lam, lambda z: f(z) / norm, lambda z: f(z, 1) / norm
+
+
+def certificate_q(F, d, a, b, tau, eps, dps=20):
+    """Q[Phi] of the admissible trial function from its defining integrals.
+
+    ``Phi = phi_tau(r) chi_1(z) + eps phi(r)^2 (1 - z/d)`` and
+    ``Q = 2 pi int int (|d_r Phi|^2 + |d_z Phi|^2 + (F z - lam) Phi^2) r dr dz``
+    with lam the Dirichlet-Dirichlet ground level.  Every product of an r- and
+    a z-integral is integrated in mpmath, z split at the turning point, with
+    no integration by parts.  One term is set to zero instead: the cutoff's
+    ``int phi_tau^2 r dr`` (of order e^(2/tau)) multiplies
+    ``int (chi_1'^2 + (F z - lam) chi_1^2) dz``, which is zero because chi_1
+    is the eigenfunction; that z-integral is checked to vanish to ``dps``
+    digits.  The cutoff tail is integrated in ``u = ln r``.
+    """
+    with mp.workdps(dps):
+        F, d, a, b, tau, eps = (mp.mpf(x) for x in (F, d, a, b, tau, eps))
+        lam, chi, dchi = dd_ground_state(F, d, dps)
+        zs = [0, min(lam / F, d), d] if F > 0 else [0, d]
+
+        def zint(f):
+            return mp.quad(f, zs)
+
+        def psi(z):
+            return 1 - z / d
+
+        dpsi = -1 / d
+
+        def profile(s):
+            t = min(max(s - b, 0), 1)
+            return 1 - ((6 * t - 15) * t + 10) * t ** 3
+
+        def profile_prime(s):
+            t = s - b
+            return -30 * t ** 2 * (1 - t) ** 2 if 0 < t < 1 else mp.mpf(0)
+
+        def cutoff(r):
+            return profile(b + tau * mp.log(r / b)) if r > b else mp.mpf(1)
+
+        def cutoff_prime(r):
+            return profile_prime(b + tau * mp.log(r / b)) * tau / r if r > b else mp.mpf(0)
+
+        def bump_sq(r):
+            g2, dg2 = _unit_bump_sq(r / a)
+            return g2, dg2 / a
+
+        def rint(f):
+            return mp.quad(lambda r: f(r) * r, [0, a / 2, a])
+
+        zform = zint(lambda z: dchi(z) ** 2 + (F * z - lam) * chi(z) ** 2)
+        assert abs(zform) <= mp.mpf(10) ** (5 - dps) * (1 + abs(lam)), zform
+        cutoff_grad = mp.quad(lambda u: cutoff_prime(mp.exp(u)) ** 2 * mp.exp(2 * u),
+                              [mp.log(b), mp.log(b) + 1 / tau])
+        block_cutoff = cutoff_grad * zint(lambda z: chi(z) ** 2)
+
+        def xi(r):
+            return cutoff(r) * bump_sq(r)[0]
+
+        def xi_prime(r):
+            g2, dg2 = bump_sq(r)
+            return cutoff_prime(r) * g2 + cutoff(r) * dg2
+
+        cross = (rint(lambda r: cutoff_prime(r) * xi_prime(r)) * zint(lambda z: chi(z) * psi(z))
+                 + rint(lambda r: cutoff(r) * xi(r))
+                 * zint(lambda z: dchi(z) * dpsi + (F * z - lam) * chi(z) * psi(z)))
+        block_bump = (rint(lambda r: xi_prime(r) ** 2) * zint(lambda z: psi(z) ** 2)
+                      + rint(lambda r: xi(r) ** 2)
+                      * zint(lambda z: dpsi ** 2 + (F * z - lam) * psi(z) ** 2))
+        return 2 * mp.pi * (block_cutoff + 2 * eps * cross + eps ** 2 * block_bump)

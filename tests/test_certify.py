@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from starklayer import certify, fd2d, specfun
+from starklayer import certify, fd2d, specfun, transverse
 from starklayer.transverse import WaveguideParams
+
+import oracles
 
 PI = math.pi
 
@@ -45,7 +47,10 @@ def test_cutoff_plateau_and_decay():
 
 
 def test_cutoff_gradient_norm_closed_form():
-    assert certify.grad_norm_cutoff(4.0) == pytest.approx(CUTOFF_GRAD_NORM, rel=1e-10)
+    b = 4.0
+    direct = specfun.integrate(lambda s: certify.cutoff_profile_prime(s, b) ** 2,
+                               b, b + certify.CUTOFF_DECAY_WIDTH, 1e-11)
+    assert direct == pytest.approx(CUTOFF_GRAD_NORM, rel=1e-10)
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
@@ -59,7 +64,7 @@ def test_tail_scaling_identity(tau):
         specfun.integrate(lambda r: certify.cutoff_dilated_prime(r, b, tau) ** 2 * r,
                           lo, hi, 1e-12 / n_pan)
         for lo, hi in zip(edges[:-1], edges[1:]))
-    ident = tau * certify.grad_norm_cutoff(b)
+    ident = tau * CUTOFF_GRAD_NORM
     assert direct == pytest.approx(ident, rel=1e-8)
 
 
@@ -73,24 +78,30 @@ def test_pure_cutoff_trial_cost():
         assert q == pytest.approx(2.0 * PI * tau * CUTOFF_GRAD_NORM, abs=1e-8)
 
 
+# The closed form makes Q = A*tau + B*eps^2 - C*eps an identity, so the three
+# tests below check it against the mpmath integrals of the trial function.
+
 def test_q_is_quadratic_in_eps():
+    # Q of the defining integrals, sampled in eps, is the quadratic with the
+    # closed-form coefficients.
     p = WaveguideParams(F=1.0, d=1.0, a=1.0)
+    A, B, C = certify.coefficients(p, certify.TrialSpec(a=1.0, b=2.0, tau=0.1, eps=0.0))
     eps_samples = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-    q_vals = np.array([
-        certify.q_functional(p, certify.TrialSpec(a=1.0, b=2.0, tau=0.1, eps=float(e)))
-        for e in eps_samples])
+    q_vals = np.array([float(oracles.certificate_q(1.0, 1.0, 1.0, 2.0, 0.1, float(e)))
+                       for e in eps_samples])
     coeffs = np.polyfit(eps_samples, q_vals, 2)
     resid = q_vals - np.polyval(coeffs, eps_samples)
     assert np.max(np.abs(resid)) <= 1e-8 * abs(coeffs[0])
+    assert coeffs == pytest.approx([B, -C, A * 0.1], rel=1e-8)
 
 
 def test_q_matches_coefficient_decomposition():
     p = WaveguideParams(F=1.0, d=1.0, a=1.0)
     spec = certify.TrialSpec(a=1.0, b=2.0, tau=0.2, eps=0.7)
     A, B, C = certify.coefficients(p, spec)
-    direct = certify.q_functional(p, spec)
+    direct = float(oracles.certificate_q(1.0, 1.0, 1.0, spec.b, spec.tau, spec.eps))
     assert direct == pytest.approx(A * spec.tau + B * spec.eps ** 2 - C * spec.eps,
-                                   rel=1e-8)
+                                   rel=1e-9)
 
 
 def test_q_at_optimal_eps():
@@ -99,8 +110,33 @@ def test_q_at_optimal_eps():
     A, B, C = certify.coefficients(p, spec)
     assert B > 0.0
     eps_opt = C / (2.0 * B)
-    q = certify.q_functional(p, certify.TrialSpec(a=1.0, b=2.0, tau=0.05, eps=eps_opt))
-    assert q == pytest.approx(A * 0.05 - C ** 2 / (4.0 * B), rel=1e-7)
+    q = float(oracles.certificate_q(1.0, 1.0, 1.0, 2.0, 0.05, eps_opt))
+    assert q == pytest.approx(A * 0.05 - C ** 2 / (4.0 * B), rel=1e-9)
+
+
+@pytest.mark.parametrize("F, d, a", [(1e-2, 1.0, 1.0), (0.01, 1.0, 20.0), (100.0, 1.0, 0.05),
+                                     (10.0, PI, 3.0), (1e4, PI, 1.0), (1.5e5, 1.0, 1.0),
+                                     (1e8, 1.0, 0.5)])
+def test_certificate_matches_oracle_across_fields(F, d, a):
+    # F*d^3 from 1e-2 to 1e8, including the three commands that failed with
+    # the quadrature certificate ((1e4, pi, 1) and (1.5e5, 1, 1) among them).
+    p = WaveguideParams(F=F, d=d, a=a)
+    cert = certify.certify(p)
+    spec = cert.spec
+    q = float(oracles.certificate_q(F, d, a, spec.b, spec.tau, spec.eps))
+    assert q < 0.0
+    assert cert.q_value == pytest.approx(q, rel=1e-9)
+    assert certify.q_functional(p, spec) == cert.q_value
+
+
+def test_bump_moments_are_the_mpmath_values():
+    shipped = (certify._BUMP_I2, certify._BUMP_I4, certify._BUMP_IG)
+    for value, exact in zip(shipped, oracles.bump_moments(dps=30)):
+        assert abs(value - float(exact)) <= 2.0 * math.ulp(value)
+    # The moments are those of the bump certify uses, at any radius.
+    a = 0.7
+    i2 = specfun.integrate(lambda r: certify.bump(r, a) ** 2 * r, 0.0, a, 1e-14)
+    assert i2 == pytest.approx(a * a * certify._BUMP_I2, rel=1e-10)
 
 
 def test_coefficient_A_universal():
@@ -118,8 +154,14 @@ def test_coefficient_C_closed_form_field_free():
     spec = certify.TrialSpec(a=2.0, b=4.0, tau=0.5, eps=0.1)
     _, _, C = certify.coefficients(p, spec)
     i_phi2 = specfun.integrate(lambda r: certify.bump(r, 2.0) ** 2 * r, 0.0, 2.0, 1e-13)
-    # chi_1 = sqrt(2/pi) sin z: chi'(0) - chi'(d) = 2 sqrt(2/pi)
-    expected = 2.0 * (2.0 * math.sqrt(2.0 / PI)) * 2.0 * PI * i_phi2
+    # The cross term of Q is 2*eps * 2*pi * i_phi2 * Z with, for psi = 1 - z/d,
+    #   Z = int_0^d (chi_1' psi' + (F z - lam) chi_1 psi) dz
+    #     = [chi_1' psi]_0^d - int_0^d (chi_1'' - (F z - lam) chi_1) psi dz = -chi_1'(0),
+    # since psi(d) = 0 and chi_1'' = (F z - lam) chi_1.  So C = 4*pi*i_phi2*chi_1'(0),
+    # and chi_1 = sqrt(2/pi) sin z gives chi_1'(0) = sqrt(2/pi).  A bump constant
+    # in z (psi = 1) would give Z = chi_1'(d) - chi_1'(0), twice this: half of it
+    # the flux through the Dirichlet wall z = d, where that bump does not vanish.
+    expected = 4.0 * PI * i_phi2 * math.sqrt(2.0 / PI)
     assert C == pytest.approx(expected, rel=1e-9)
 
 
@@ -157,6 +199,21 @@ def test_certify_airy_call_budget(monkeypatch, F, d, a):
     monkeypatch.setattr(specfun, "airy_grid", counted)
     assert certify.certify(p).valid
     assert calls[0] <= 32
+
+
+def test_cold_certify_makes_no_quadrature(monkeypatch):
+    transverse.ground_level.cache_clear()
+    transverse._coefficients.cache_clear()
+    calls = [0]
+    quadrature = specfun.integrate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "integrate", counted)
+    assert certify.certify(WaveguideParams(F=1.0, d=1.0, a=1.0)).valid
+    assert calls[0] == 0
 
 
 def test_certify_accepts_field_free_configuration():

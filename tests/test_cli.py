@@ -70,6 +70,18 @@ def test_certify_json_valid():
     assert "tolerances" in doc and "level_rel" in doc["tolerances"]
 
 
+@pytest.mark.parametrize("F, d", [("10000", PI_STR), ("150000", "1"), ("1e-06", "1")])
+def test_certify_holds_at_both_ends_of_the_field_range(F, d):
+    # The quadrature certificate exited 1 on all three: CertificateError at
+    # strong field, QuadratureError at weak field.
+    code, text = run_capture(["certify", "--F", F, "--d", d, "--a", "1", "--format", "json"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["valid"] is True and doc["q_value"] < 0.0
+    assert doc["method"] == "closed-form"
+    assert "certify_quadrature_rel" not in doc["tolerances"]
+
+
 def test_json_round_trips_config():
     argv = ["bracket", "--F", "0", "--d", PI_STR, "--a", "10", "--format", "json"]
     args = cli._build_parser().parse_args(argv)

@@ -3,9 +3,10 @@
 Examples are drawn deterministically (``derandomize``) so every run checks
 the same points; Airy arguments are drawn uniformly over [-8.5, 8.5], plus
 every piece boundary of the Chebyshev table and the doubles beside it; F is
-drawn log-uniformly over [1e-2, 1e3] (over {0} and [1e-2, 1e2] for
-certificates), the window radius log-uniformly over [0.05, 20] (for the
-certified count, uniformly below 0.95 of the order-64 cap).
+drawn log-uniformly over [1e-2, 1e3], the window radius log-uniformly over
+[0.05, 20] (for the certified count, uniformly below 0.95 of the order-64
+cap).  Certificates take the dimensionless field F*d^3 from {0} and
+log-uniformly from [1e-9, 1e8], and a/d log-uniformly from [3e-3, 30].
 Bessel zeros are read in random order from up to three orders m <= 64, at
 indices k <= 300, so one table is filled both from the shipped prefix
 (k <= 100) and from scipy.
@@ -28,7 +29,8 @@ DD = BoundaryType.DIRICHLET_DIRICHLET
 ND = BoundaryType.NEUMANN_DIRICHLET
 
 FIELDS = st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)
-CERTIFY_FIELDS = st.just(0.0) | st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+CERTIFY_FIELDS = st.just(0.0) | st.floats(-9.0, 8.0).map(lambda e: 10.0 ** e)  # F*d^3
+CERTIFY_ASPECTS = st.floats(math.log(3e-3), math.log(30.0)).map(math.exp)  # a/d
 FIELDS_WITH_ZERO = st.just(0.0) | FIELDS
 WIDTHS = st.floats(0.5, 4.0)
 WALLS = st.sampled_from([DD, ND])
@@ -88,9 +90,12 @@ def test_count_certified_nondecreasing_in_radius(F, d, u, v):
 
 
 @PROPERTY
-@given(F=CERTIFY_FIELDS, d=WIDTHS, a=RADII)
-def test_certificate_is_negative_and_matches_its_decomposition(F, d, a):
-    cert = certify.certify(WaveguideParams(F=F, d=d, a=a))
+@given(u=CERTIFY_FIELDS, d=WIDTHS, r=CERTIFY_ASPECTS)
+@example(u=1e-9, d=1.0, r=3e-3)
+@example(u=1e8, d=4.0, r=30.0)
+@example(u=0.0, d=0.5, r=30.0)
+def test_certificate_is_negative_and_matches_its_decomposition(u, d, r):
+    cert = certify.certify(WaveguideParams(F=u / d ** 3, d=d, a=r * d))
     assert cert.valid
     spec = cert.spec
     decomposition = cert.coeff_A * spec.tau + cert.coeff_B * spec.eps ** 2 - cert.coeff_C * spec.eps

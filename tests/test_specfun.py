@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from starklayer import certify, specfun
+from starklayer import certify, specfun, transverse
 from starklayer.transverse import WaveguideParams
 
 import oracles
@@ -352,20 +352,28 @@ def _reference_integrate(f, lo, hi, tol):
 @pytest.mark.parametrize("F, d, a", [(0.01, 1.0, 20.0), (100.0, 1.0, 0.05), (0.0, 1.0, 1.0),
                                      (0.1, 2.0, 0.5), (1e-3, math.pi, 10.0), (3.0, 0.5, 2.0),
                                      (0.014150474976540563, 1.0, 2.7666063388435504)])
-def test_integrate_matches_recursive_reference_on_certify_integrands(monkeypatch, F, d, a):
-    # Every integral of a certificate: the bump blocks, chi_1 and (F z - lam) chi_1.
-    calls = []
-    breadth_first = specfun.integrate
+def test_integrate_matches_recursive_reference_on_certify_integrands(F, d, a):
+    # The integrands the quadrature certificate used, at its tolerances: the
+    # bump blocks, the cutoff gradient, chi_1 and (F z - lam) chi_1.
+    p = WaveguideParams(F=F, d=d, a=a)
+    level = transverse.ground_level(F, d, transverse.BoundaryType.DIRICHLET_DIRICHLET)
+    b, scale = 2.0 * a, max(a * a, 1e-8)
 
-    def recorded(f, lo, hi, tol):
-        value = breadth_first(f, lo, hi, tol)
-        calls.append((f, lo, hi, tol, value))
-        return value
+    def phi(r):
+        return certify.bump(r, a)
 
-    monkeypatch.setattr(specfun, "integrate", recorded)
-    certify.certify(WaveguideParams(F=F, d=d, a=a))
-    assert len(calls) == 11
-    for f, lo, hi, tol, value in calls:
+    cases = [
+        (lambda r: phi(r) ** 2 * r, 0.0, a, 1e-11 * scale),
+        (lambda r: (2.0 * phi(r) * certify.bump_prime(r, a)) ** 2 * r, 0.0, a,
+         1e-11 * max(1.0, scale)),
+        (lambda r: phi(r) ** 4 * r, 0.0, a, 1e-11 * scale),
+        (lambda s: certify.cutoff_profile_prime(s, b) ** 2, b, b + 1.0, 1e-11),
+        (lambda z: transverse.chi(level, p, z), 0.0, d, 1e-11 * max(1.0, d)),
+        (lambda z: (F * z - level.lam) * transverse.chi(level, p, z), 0.0, d,
+         1e-11 * max(1.0, abs(level.lam) * d)),
+    ]
+    for f, lo, hi, tol in cases:
+        value = specfun.integrate(f, lo, hi, tol)
         assert type(value) is float
         assert value == _reference_integrate(f, lo, hi, tol)
 
