@@ -2,32 +2,32 @@
 
 Discretizes ``-(1/r) d/dr (r d/dr) + m^2/r^2 - d^2/dz^2 + F z`` with
 conservative flux differencing: cell-centered radial nodes ``r_i = (i+1/2)h_r``
-(no axis condition needed), vertex z nodes ``z_j = j h_z``.  The operator is
-assembled from the quadratic form, so the matrix is exactly symmetric after
-the diagonal similarity by the square root of the node weights
-``w = r_i h_r h_z`` (half weight on the Neumann bottom row).
+(no axis condition needed), vertex z nodes ``z_j = j h_z``.  After the diagonal
+similarity by the square root of the node weights ``w = r_i h_r h_z`` (half
+weight on the Neumann bottom row) the operator is the Kronecker sum
+``T = A_r (x) I + I (x) A_z`` of two symmetric tridiagonal factors: the radial
+flux form with ``m^2/r^2`` (and the side-wall term for a Dirichlet wall), and
+the vertical flux form with ``F z`` (top node eliminated).
 
 Three boundary setups: the inner cylinder of radius a with Dirichlet or
 Neumann side wall (validating the analytic brackets from both sides), and the
 truncated full window problem (Neumann on the bottom only inside the window;
 its eigenvalues are upper bounds of the untruncated layer, decreasing in the
-truncation radius).
+truncation radius).  The inner problems are ``T`` itself; the window matrix is
+the principal submatrix of ``T`` that drops the bottom nodes with ``r > a``.
 
 Eigenpairs come from ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert
 mode at the shift ``0.9 * nu_0``, where ``nu_0``
-(``CylOperator.spectral_floor``) is the lowest eigenvalue of the grid's own
-1-D z operator (the vertical faces plus ``F z_j``, half weight on the Neumann
-row).  ``nu_0`` is a floor of every assembled spectrum: the radial part is
-positive semidefinite, so the inner problems are bounded below by their
-vertical part, and the window matrix is a principal submatrix of the
-Neumann-bottom-everywhere one (Cauchy interlacing).  The shifted matrix is
-therefore symmetric positive definite; it is factorized once by SuperLU in
-symmetric mode (diagonal pivots on a symmetric fill-reducing ordering), and
-the factorization is accepted only when its row and column permutations agree
-and every pivot is positive, which by Sylvester's law of inertia proves that
-no eigenvalue lies below the shift.  The start vector is fixed, so runs are
-deterministic.  scipy is imported on first use, so importing this module does
-not load ``scipy.sparse``.
+(``CylOperator.spectral_floor``) is the lowest eigenvalue of ``A_z``, a floor
+of every assembled spectrum (``A_r`` is positive semidefinite, and Cauchy
+interlacing covers the window submatrix).  No sparse factorization is made:
+``(T - shift)^{-1}`` is applied by fast diagonalization (Lynch, Rice & Thomas,
+Numer. Math. 6, 1964) from the eigendecompositions of the two factors, and the
+eliminated window nodes by the capacitance method (Buzbee, Dorr, George &
+Golub, SIAM J. Numer. Anal. 8, 1971).  Every ``mu_p + nu_q - shift`` must be
+positive, which proves that no eigenvalue lies below the shift.  The start
+vector is fixed, so runs are deterministic.  scipy is imported on first use,
+so importing this module does not load ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "WindowResult",
     "ConvergenceError",
     "assemble",
+    "shifted_inverse",
     "lowest_eigs",
     "window_ground_state",
 ]
@@ -123,13 +124,21 @@ class WindowBC:
 
 @dataclass
 class CylOperator:
-    """Assembled symmetric operator with its grid bookkeeping."""
+    """Assembled symmetric operator with its grid bookkeeping.
+
+    ``matrix`` is the Kronecker sum of the (diagonal, off-diagonal) factors
+    ``radial`` and ``vertical`` on the nodes of the ``(nr, nz)`` mask
+    ``active``, numbered row-major (z fastest).
+    """
 
     matrix: scipy.sparse.csr_matrix
     grid: CylGrid
     bc: WindowBC
     params: WaveguideParams
-    spectral_floor: float      # lowest eigenvalue of the grid's 1-D z operator
+    spectral_floor: float      # lowest eigenvalue of the vertical factor
+    radial: tuple[np.ndarray, np.ndarray]
+    vertical: tuple[np.ndarray, np.ndarray]
+    active: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -137,7 +146,11 @@ class CylOperator:
 
 
 def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperator:
-    """Assemble the similarity-scaled symmetric matrix for the requested setup."""
+    """Assemble the similarity-scaled symmetric matrix for the requested setup.
+
+    The 1-D factors and their Kronecker sum, less the bottom nodes outside the
+    window for the window kind (see the module docstring).
+    """
     if bc.kind is BCKind.TRUNCATED_FULL:
         if params.a <= 0.0:
             raise ValueError("truncated window problem requires a > 0")
@@ -150,84 +163,35 @@ def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperato
     nr, nz = grid.nr, grid.nz
     h_r, h_z = grid.h_r, grid.h_z
     r = grid.r_nodes
-    z = grid.z_nodes
+    z = grid.z_nodes[:nz]
 
-    active = np.ones((nr, nz + 1), dtype=bool)
-    active[:, nz] = False                       # top plate: Dirichlet
+    face = np.arange(nr + 1) * h_r               # face radii, the axis face is 0
+    r_diag = (face[:-1] + face[1:]) / (h_r * h_r * r) + bc.m ** 2 / r ** 2
+    r_diag[-1] -= face[-1] / (h_r * h_r * r[-1])
+    if bc.kind is not BCKind.INNER_NEUMANN:     # half-cell gradient to the wall value 0
+        r_diag[-1] += 2.0 * grid.r_max / (h_r * h_r * r[-1])
+    r_off = -face[1:-1] / (h_r * h_r * np.sqrt(r[:-1] * r[1:]))
+
+    wz = np.ones(nz)
+    wz[0] = 0.5                                  # trapezoid mass on the Neumann row
+    faces = np.full(nz, 2.0)
+    faces[0] = 1.0                               # no face below the bottom row
+    z_diag = faces / (h_z * h_z * wz) + params.F * z
+    z_off = -1.0 / (h_z * h_z * np.sqrt(wz[:-1] * wz[1:]))
+
+    active = np.ones((nr, nz), dtype=bool)
     if bc.kind is BCKind.TRUNCATED_FULL:
         active[r > params.a, 0] = False         # bottom outside the window: Dirichlet
 
-    index = np.full((nr, nz + 1), -1, dtype=np.int64)
-    index[active] = np.arange(int(active.sum()))
-    n = int(active.sum())
-
-    wz = np.ones(nz + 1)
-    wz[0] = 0.5                                  # trapezoid mass on the Neumann row
-    weight = r[:, None] * h_r * h_z * wz[None, :]
-    sqrt_w = np.sqrt(weight)
-
-    rows, cols, vals = [], [], []
-
-    def add_face(ip, jp, iq, jq, c):
-        """Energy term c*(u_p - u_q)^2; eliminated endpoints read as zero."""
-        p_act = active[ip, jp]
-        q_act = active[iq, jq]
-        both = p_act & q_act
-        p = index[ip, jp]
-        q = index[iq, jq]
-        wp = sqrt_w[ip, jp]
-        wq = sqrt_w[iq, jq]
-        if np.any(p_act):
-            rows.append(p[p_act]); cols.append(p[p_act]); vals.append((c / wp ** 2)[p_act])
-        if np.any(q_act):
-            rows.append(q[q_act]); cols.append(q[q_act]); vals.append((c / wq ** 2)[q_act])
-        if np.any(both):
-            off = (-c / (wp * wq))[both]
-            rows.append(p[both]); cols.append(q[both]); vals.append(off)
-            rows.append(q[both]); cols.append(p[both]); vals.append(off)
-
-    # radial faces between cells i and i+1 (face radius (i+1)h_r)
-    ii, jj = np.meshgrid(np.arange(nr - 1), np.arange(nz + 1), indexing="ij")
-    c_r = (ii + 1.0) * h_z * wz[jj]
-    add_face(ii, jj, ii + 1, jj, c_r)
-
-    # vertical faces between j and j+1
-    ii, jj = np.meshgrid(np.arange(nr), np.arange(nz), indexing="ij")
-    c_z = r[ii] * h_r / h_z
-    add_face(ii, jj, ii, jj + 1, c_z)
-
-    # Dirichlet side wall at r_max: value 0 at the wall face, half-cell gradient
-    if bc.kind in (BCKind.INNER_DIRICHLET, BCKind.TRUNCATED_FULL):
-        jj = np.arange(nz + 1)
-        ii = np.full_like(jj, nr - 1)
-        sel = active[ii, jj]
-        c_wall = 2.0 * grid.r_max * h_z * wz[jj] / h_r
-        p = index[ii, jj][sel]
-        rows.append(p); cols.append(p)
-        vals.append((c_wall / sqrt_w[ii, jj] ** 2)[sel])
-
-    # potential + angular barrier (diagonal in the similarity scaling)
-    ii, jj = np.meshgrid(np.arange(nr), np.arange(nz + 1), indexing="ij")
-    sel = active[ii, jj]
-    pot = params.F * z[jj] + (bc.m ** 2) / r[ii] ** 2
-    p = index[ii, jj][sel]
-    rows.append(p); cols.append(p); vals.append(pot[sel])
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
     import scipy.sparse
-    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    # The vertical faces of one column with the same weights wz: the bottom row
-    # has no face below it, the top node is eliminated.
-    faces = np.full(nz, 2.0)
-    faces[0] = 1.0
-    z_diag = faces / (h_z * h_z * wz[:nz]) + params.F * z[:nz]
-    z_off = -1.0 / (h_z * h_z * np.sqrt(wz[:nz - 1] * wz[1:nz]))
     from scipy.linalg import eigvalsh_tridiagonal
+    keep = np.flatnonzero(active)
+    matrix = scipy.sparse.kronsum(scipy.sparse.diags([z_off, z_diag, z_off], [-1, 0, 1]),
+                                  scipy.sparse.diags([r_off, r_diag, r_off], [-1, 0, 1]),
+                                  format="csr")[keep][:, keep]
     floor = float(eigvalsh_tridiagonal(z_diag, z_off, select="i", select_range=(0, 0))[0])
-    return CylOperator(matrix=matrix, grid=grid, bc=bc, params=params, spectral_floor=floor)
+    return CylOperator(matrix=matrix, grid=grid, bc=bc, params=params, spectral_floor=floor,
+                       radial=(r_diag, r_off), vertical=(z_diag, z_off), active=active)
 
 
 @dataclass(frozen=True)
@@ -243,44 +207,77 @@ class EigResult:
 def splu(a):
     """Symmetric-mode sparse LU of ``a`` by ``scipy.sparse.linalg.splu``.
 
-    SuperLU orders ``a + a^T`` by minimum degree and pivots on the diagonal,
-    the factorization of a symmetric positive definite matrix.
-    :func:`lowest_eigs` calls it through this module attribute, so a tracer or
-    a test can wrap the factorization by replacing ``fd2d.splu``.
+    Nothing in the package calls it since :func:`lowest_eigs` solves through
+    :func:`shifted_inverse`.  It stays only because the benchmark's tracer
+    wraps ``fd2d.splu`` by name, so its spans and LU solve counter read 0.
     """
     from scipy.sparse.linalg import splu as scipy_splu
     return scipy_splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
 
 
+def shifted_inverse(op: CylOperator, shift: float):
+    """``b -> (op.matrix - shift I)^{-1} b`` without factorizing the matrix.
+
+    With ``A_r = Q_r diag(mu) Q_r^T`` and ``A_z = Q_z diag(nu) Q_z^T``,
+    ``(T - shift)^{-1}`` is a transform by ``Q_r (x) Q_z``, a division by
+    ``mu_p + nu_q - shift`` and the transform back.  The bottom nodes E that
+    the window drops (none for the inner problems) are held at 0 by forces
+    from the capacitance matrix ``C = Q_r[E] diag(g) Q_r[E]^T``, the E block
+    of ``(T - shift)^{-1}`` (``g_p = sum_q Q_z[0, q]^2 / (mu_p + nu_q - shift)``).
+    Raises :class:`ConvergenceError` unless every ``mu_p + nu_q - shift`` is
+    positive (so, by interlacing, no eigenvalue lies below the shift) and
+    ``C`` has a Cholesky factor.
+    """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh_tridiagonal
+    mu, q_r = eigh_tridiagonal(*op.radial)
+    nu, q_z = eigh_tridiagonal(*op.vertical)
+    denom = mu[:, None] + nu[None, :] - shift
+    if not np.all(denom > 0.0):
+        raise ConvergenceError(f"A - {shift!r} I is not positive definite: "
+                               "an eigenvalue lies below the shift")
+    inv = 1.0 / denom
+    active = op.active
+    q_e = q_r[~active[:, 0]]
+    z0 = q_z[0]
+    try:
+        capacitance = cho_factor((q_e * (inv @ z0 ** 2)) @ q_e.T)
+    except LinAlgError:
+        raise ConvergenceError(f"capacitance matrix at shift {shift!r} is not "
+                               "positive definite") from None
+
+    def solve(b):
+        x = np.zeros(active.shape)
+        x[active] = b
+        xh = inv * (q_r.T @ x @ q_z)
+        force = q_e.T @ cho_solve(capacitance, q_e @ (xh @ z0))
+        xh -= inv * np.outer(force, z0)
+        return (q_r @ xh @ q_z.T)[active]
+    return solve
+
+
 def lowest_eigs(op: CylOperator, k: int, max_iter: int = 20000) -> EigResult:
     """k smallest eigenpairs by ARPACK in shift-invert mode.
 
     The shift is ``0.9 * op.spectral_floor``, below the whole spectrum (see
-    the module docstring), so ``A - shift I`` is positive definite and the
-    eigenvalues nearest the shift are the lowest ones.  It is factorized once
-    by :func:`splu`; unless that factorization kept one symmetric permutation
-    and every pivot is positive (Sylvester's law of inertia: no eigenvalue
-    below the shift), raises :class:`ConvergenceError`.  The Lanczos start
-    vector is all ones, so runs are deterministic.  ARPACK stops at the
-    relative Ritz tolerance ``ARPACK_TOL`` or after ``max_iter`` restarts.
-    Residuals are ``|A u - lambda u|`` for unit ``u``; if ARPACK stops early
-    or any residual exceeds ``EIG_RESIDUAL_TOL``, raises
-    :class:`ConvergenceError` with the pair of smallest residual.
+    the module docstring), so the eigenvalues nearest the shift are the
+    lowest ones.  The inverse is applied by :func:`shifted_inverse`, which
+    raises :class:`ConvergenceError` unless it proves that no eigenvalue lies
+    below the shift.  The Lanczos start vector is all ones, so runs are
+    deterministic.  ARPACK stops at the relative Ritz tolerance
+    ``ARPACK_TOL`` or after ``max_iter`` restarts.  Residuals are
+    ``|A u - lambda u|`` for unit ``u``; if ARPACK stops early or any
+    residual exceeds ``EIG_RESIDUAL_TOL``, raises :class:`ConvergenceError`
+    with the pair of smallest residual.
     """
     k = int(k)
     if not 1 <= k <= 10:
         raise ValueError("k must be in 1..10")
-    import scipy.sparse
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     m = op.matrix
     n = m.shape[0]
     shift = 0.9 * op.spectral_floor
-    lu = splu(scipy.sparse.csc_matrix(m - shift * scipy.sparse.identity(n, format="csc")))
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
-        raise ConvergenceError(f"LU of A - {shift!r} I is not a positive-pivot symmetric "
-                               "factorization: an eigenvalue lies below the shift")
-    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    opinv = LinearOperator((n, n), matvec=shifted_inverse(op, shift), dtype=np.float64)
     try:
         values, vectors = eigsh(m, k, sigma=shift, OPinv=opinv, v0=np.ones(n),
                                 tol=ARPACK_TOL, maxiter=max_iter)

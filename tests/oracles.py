@@ -6,7 +6,9 @@ tables, asymptotic expansions, recurrences) share nothing with these routines.
 ``airy_cheb_table`` also generates the shipped table ``_airy_cheb.npy``.
 ``certificate_q`` integrates the defining integrals of the certificate's Q
 with mpmath's Airy functions and quadrature; ``bump_moments`` rebuilds the
-bump moments that ``certify`` ships as literals.
+bump moments that ``certify`` ships as literals.  ``quadratic_form_matrix``
+is the one float64 routine: it assembles the 2-D FD matrix face by face from
+its quadratic form, independently of the Kronecker-sum assembly in ``fd2d``.
 """
 
 import functools
@@ -265,3 +267,65 @@ def certificate_q(F, d, a, b, tau, eps, dps=20):
                       + rint(lambda r: xi(r) ** 2)
                       * zint(lambda z: dpsi ** 2 + (F * z - lam) * psi(z) ** 2))
         return 2 * mp.pi * (block_cutoff + 2 * eps * cross + eps ** 2 * block_bump)
+
+
+def quadratic_form_matrix(params, grid, bc):
+    """The scaled 2-D FD matrix of ``fd2d.assemble``, summed face by face (CSR).
+
+    Each face adds the energy term ``c (u_p - u_q)^2`` in the node weights
+    ``w = r_i h_r h_z`` (half weight on the Neumann bottom row); eliminated
+    endpoints (the top plate, and for the window kind the bottom outside the
+    window) read as zero.  The similarity by ``sqrt(w)`` makes it symmetric.
+    """
+    import scipy.sparse
+    nr, nz = grid.nr, grid.nz
+    h_r, h_z = grid.h_r, grid.h_z
+    r = grid.r_nodes
+    z = grid.z_nodes
+    window = bc.kind.value == "truncated-full"
+
+    active = np.ones((nr, nz + 1), dtype=bool)
+    active[:, nz] = False                       # top plate: Dirichlet
+    if window:
+        active[r > params.a, 0] = False         # bottom outside the window: Dirichlet
+    index = np.full((nr, nz + 1), -1, dtype=np.int64)
+    index[active] = np.arange(int(active.sum()))
+    n = int(active.sum())
+
+    wz = np.ones(nz + 1)
+    wz[0] = 0.5                                 # trapezoid mass on the Neumann row
+    sqrt_w = np.sqrt(r[:, None] * h_r * h_z * wz[None, :])
+    rows, cols, vals = [], [], []
+
+    def add_face(ip, jp, iq, jq, c):
+        p_act, q_act = active[ip, jp], active[iq, jq]
+        both = p_act & q_act
+        p, q = index[ip, jp], index[iq, jq]
+        wp, wq = sqrt_w[ip, jp], sqrt_w[iq, jq]
+        rows.extend([p[p_act], q[q_act], p[both], q[both]])
+        cols.extend([p[p_act], q[q_act], q[both], p[both]])
+        off = (-c / (wp * wq))[both]
+        vals.extend([(c / wp ** 2)[p_act], (c / wq ** 2)[q_act], off, off])
+
+    # radial faces between cells i and i+1 (face radius (i+1)h_r)
+    ii, jj = np.meshgrid(np.arange(nr - 1), np.arange(nz + 1), indexing="ij")
+    add_face(ii, jj, ii + 1, jj, (ii + 1.0) * h_z * wz[jj])
+    # vertical faces between j and j+1
+    ii, jj = np.meshgrid(np.arange(nr), np.arange(nz), indexing="ij")
+    add_face(ii, jj, ii, jj + 1, r[ii] * h_r / h_z)
+    # Dirichlet side wall at r_max: value 0 at the wall face, half-cell gradient
+    jj = np.arange(nz + 1)
+    sel = active[nr - 1, jj] & (bc.kind.value != "inner-neumann")
+    rows.append(index[nr - 1, jj][sel])
+    cols.append(index[nr - 1, jj][sel])
+    vals.append((2.0 * grid.r_max * h_z * wz / h_r / sqrt_w[nr - 1] ** 2)[sel])
+    # potential + angular barrier (diagonal in the similarity scaling)
+    ii, jj = np.meshgrid(np.arange(nr), np.arange(nz + 1), indexing="ij")
+    sel = active[ii, jj]
+    rows.append(index[ii, jj][sel])
+    cols.append(index[ii, jj][sel])
+    vals.append((params.F * z[jj] + bc.m ** 2 / r[ii] ** 2)[sel])
+
+    coo = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return coo.tocsr()
