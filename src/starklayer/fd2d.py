@@ -16,18 +16,25 @@ its eigenvalues are upper bounds of the untruncated layer, decreasing in the
 truncation radius).  The inner problems are ``T`` itself; the window matrix is
 the principal submatrix of ``T`` that drops the bottom nodes with ``r > a``.
 
-Eigenpairs come from ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert
-mode at the shift ``0.9 * nu_0``, where ``nu_0``
-(``CylOperator.spectral_floor``) is the lowest eigenvalue of ``A_z``, a floor
+Eigenpairs come from the tensor structure, with no iteration cap and no start
+vector.  For ``T`` they are the sums ``mu_p + nu_q`` of the factor eigenvalues,
+with vectors ``Q_r[:, p] (x) Q_z[:, q]``.  The window keeps W, the bottom
+nodes with ``r <= a`` (about nr/4 of them); the rest is again a Kronecker sum,
+with eigenvalues ``mu_p + nu_q'``, and the Schur complement ``S(lam)`` of
+``A - lam I`` onto W is a small matrix whose entries are sums over the factor
+eigenpairs.  By Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968)
+the number of eigenvalues below ``lam`` is #{mu_p + nu_q' < lam} plus the
+number of negative eigenvalues of ``S(lam)``: a count, as a Sturm sequence
+gives for a tridiagonal matrix (Parlett, The Symmetric Eigenvalue Problem,
+1980, 3.3).  Counts isolate each eigenvalue between the poles ``mu_p + nu_q'``,
+a safeguarded Newton iteration on the eigenvalue branch of ``S`` that crosses
+zero refines it, and the vector follows by fast diagonalization (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964).
+``CylOperator.spectral_floor``, the lowest eigenvalue of ``A_z``, is a floor
 of every assembled spectrum (``A_r`` is positive semidefinite, and Cauchy
-interlacing covers the window submatrix).  No sparse factorization is made:
-``(T - shift)^{-1}`` is applied by fast diagonalization (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964) from the eigendecompositions of the two factors, and the
-eliminated window nodes by the capacitance method (Buzbee, Dorr, George &
-Golub, SIAM J. Numer. Anal. 8, 1971).  Every ``mu_p + nu_q - shift`` must be
-positive, which proves that no eigenvalue lies below the shift.  The start
-vector is fixed, so runs are deterministic.  scipy is imported on first use,
-so importing this module does not load ``scipy.sparse``.
+interlacing covers the window submatrix).  scipy is imported on first use,
+so importing this module does not load ``scipy.sparse``, and no solve loads
+``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -54,13 +61,12 @@ __all__ = [
     "WindowResult",
     "ConvergenceError",
     "assemble",
-    "shifted_inverse",
+    "count_below",
     "lowest_eigs",
     "window_ground_state",
 ]
 
 EIG_RESIDUAL_TOL = 1e-8
-ARPACK_TOL = 1e-10   # relative Ritz tolerance of eigsh in lowest_eigs
 
 
 class ConvergenceError(RuntimeError):
@@ -131,7 +137,7 @@ class CylOperator:
     ``active``, numbered row-major (z fastest).
     """
 
-    matrix: scipy.sparse.csr_matrix
+    matrix: scipy.sparse.csr_array
     grid: CylGrid
     bc: WindowBC
     params: WaveguideParams
@@ -148,8 +154,9 @@ class CylOperator:
 def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperator:
     """Assemble the similarity-scaled symmetric matrix for the requested setup.
 
-    The 1-D factors and their Kronecker sum, less the bottom nodes outside the
-    window for the window kind (see the module docstring).
+    The 1-D factors and their Kronecker sum, one 5-diagonal matrix, less the
+    bottom nodes outside the window for the window kind (see the module
+    docstring).
     """
     if bc.kind is BCKind.TRUNCATED_FULL:
         if params.a <= 0.0:
@@ -185,10 +192,14 @@ def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperato
 
     import scipy.sparse
     from scipy.linalg import eigvalsh_tridiagonal
-    keep = np.flatnonzero(active)
-    matrix = scipy.sparse.kronsum(scipy.sparse.diags([z_off, z_diag, z_off], [-1, 0, 1]),
-                                  scipy.sparse.diags([r_off, r_diag, r_off], [-1, 0, 1]),
-                                  format="csr")[keep][:, keep]
+    z_band = np.tile(np.append(z_off, 0.0), nr)[:-1]   # no z coupling across radial rows
+    r_band = np.repeat(r_off, nz)
+    matrix = scipy.sparse.diags_array(
+        [r_band, z_band, (r_diag[:, None] + z_diag[None, :]).ravel(), z_band, r_band],
+        offsets=[-nz, -1, 0, 1, nz], format="csr")
+    if bc.kind is BCKind.TRUNCATED_FULL:
+        keep = np.flatnonzero(active)
+        matrix = matrix[keep][:, keep]
     floor = float(eigvalsh_tridiagonal(z_diag, z_off, select="i", select_range=(0, 0))[0])
     return CylOperator(matrix=matrix, grid=grid, bc=bc, params=params, spectral_floor=floor,
                        radial=(r_diag, r_off), vertical=(z_diag, z_off), active=active)
@@ -207,96 +218,208 @@ class EigResult:
 def splu(a):
     """Symmetric-mode sparse LU of ``a`` by ``scipy.sparse.linalg.splu``.
 
-    Nothing in the package calls it since :func:`lowest_eigs` solves through
-    :func:`shifted_inverse`.  It stays only because the benchmark's tracer
-    wraps ``fd2d.splu`` by name, so its spans and LU solve counter read 0.
+    Nothing in the package calls it.  It stays only because the benchmark's
+    tracer wraps ``fd2d.splu`` by name, so its spans and LU solve counter
+    read 0.
     """
     from scipy.sparse.linalg import splu as scipy_splu
     return scipy_splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
 
 
-def shifted_inverse(op: CylOperator, shift: float):
-    """``b -> (op.matrix - shift I)^{-1} b`` without factorizing the matrix.
+class _Slicer:
+    """Spectrum slicing of ``op.matrix`` through its tensor structure.
 
-    With ``A_r = Q_r diag(mu) Q_r^T`` and ``A_z = Q_z diag(nu) Q_z^T``,
-    ``(T - shift)^{-1}`` is a transform by ``Q_r (x) Q_z``, a division by
-    ``mu_p + nu_q - shift`` and the transform back.  The bottom nodes E that
-    the window drops (none for the inner problems) are held at 0 by forces
-    from the capacitance matrix ``C = Q_r[E] diag(g) Q_r[E]^T``, the E block
-    of ``(T - shift)^{-1}`` (``g_p = sum_q Q_z[0, q]^2 / (mu_p + nu_q - shift)``).
-    Raises :class:`ConvergenceError` unless every ``mu_p + nu_q - shift`` is
-    positive (so, by interlacing, no eigenvalue lies below the shift) and
-    ``C`` has a Cholesky factor.
+    The nodes split into W, the kept window bottom nodes (a prefix of the
+    radial index; none for the inner problems), and the rest, whose matrix
+    ``T = A_r (x) I + I (x) A_z'`` is a Kronecker sum (``A_z'`` is ``A_z``
+    less its bottom row and column for the window kind) with eigenvalues
+    ``mu_p + nu_q``, the poles.  W couples to T only through the z = h_z row,
+    by ``c = A_z[0, 1]``.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh_tridiagonal
-    mu, q_r = eigh_tridiagonal(*op.radial)
-    nu, q_z = eigh_tridiagonal(*op.vertical)
-    denom = mu[:, None] + nu[None, :] - shift
-    if not np.all(denom > 0.0):
-        raise ConvergenceError(f"A - {shift!r} I is not positive definite: "
-                               "an eigenvalue lies below the shift")
-    inv = 1.0 / denom
-    active = op.active
-    q_e = q_r[~active[:, 0]]
-    z0 = q_z[0]
-    try:
-        capacitance = cho_factor((q_e * (inv @ z0 ** 2)) @ q_e.T)
-    except LinAlgError:
-        raise ConvergenceError(f"capacitance matrix at shift {shift!r} is not "
-                               "positive definite") from None
 
-    def solve(b):
-        x = np.zeros(active.shape)
-        x[active] = b
-        xh = inv * (q_r.T @ x @ q_z)
-        force = q_e.T @ cho_solve(capacitance, q_e @ (xh @ z0))
-        xh -= inv * np.outer(force, z0)
-        return (q_r @ xh @ q_z.T)[active]
-    return solve
+    def __init__(self, op: CylOperator):
+        from scipy.linalg import eigh_tridiagonal
+        r_diag, r_off = op.radial
+        z_diag, z_off = op.vertical
+        self.top = top = int(op.bc.kind is BCKind.TRUNCATED_FULL)   # first z row of T
+        mu, self.q_r = eigh_tridiagonal(r_diag, r_off)
+        nu, self.q_z = eigh_tridiagonal(z_diag[top:], z_off[top:])
+        self.poles = mu[:, None] + nu[None, :]
+        nw = int(np.count_nonzero(op.active[:, 0])) if top else 0
+        self.q_w = self.q_r[:nw]
+        a_r = np.diag(r_diag) + np.diag(r_off, 1) + np.diag(r_off, -1)
+        self.a_w = a_r[:nw, :nw] + z_diag[0] * np.eye(nw)
+        self.scale = float(np.abs(self.a_w).sum(axis=1).max(initial=0.0))
+        self.c = z_off[0]
+        self.weights = z_off[0] ** 2 * self.q_z[0] ** 2
+        self.shape = op.active.shape
+
+    def __call__(self, lam: float):
+        """``(count, sigma, v, inv)``: #{eigenvalues < lam} and what Newton needs.
+
+        ``(sigma, v)`` are the eigenpairs of ``S(lam) = A_WW - lam I - c^2
+        Q_r[W] diag(h) Q_r[W]^T``, ``h_p = sum_q Q_z'[0, q]^2 inv_pq``, the Schur
+        complement of ``A - lam I`` onto W, where ``inv = 1 / (mu_p + nu_q - lam)``.
+        By Haynsworth's inertia additivity, ``count`` is #{poles < lam} plus the
+        number of negative ``sigma``.  At a pole, S is first compressed off the
+        pole's directions, which carry one negative branch each just below it:
+        the count is then the limit from below, and ``(sigma, v)`` are unused.
+        """
+        gap = self.poles - lam
+        at_pole = not gap.all()
+        if at_pole:
+            zero = gap == 0.0
+            hit = zero.any(axis=1)
+            gap[zero] = np.inf                          # leave the poles' terms out
+        inv = 1.0 / gap
+        below = int(np.count_nonzero(gap < 0.0))
+        s = self.a_w - lam * np.eye(len(self.a_w)) - (self.q_w * (inv @ self.weights)) @ self.q_w.T
+        if at_pole and len(s):
+            rank = int(np.linalg.matrix_rank(self.q_w[:, hit]))
+            rest = np.linalg.qr(self.q_w[:, hit], mode="complete")[0][:, rank:]
+            s = rest.T @ s @ rest
+            below += rank
+        sigma, v = np.linalg.eigh(s)
+        return below + int(np.count_nonzero(sigma < 0.0)), sigma, v, inv
+
+    def slope(self, v: np.ndarray, inv: np.ndarray) -> float:
+        """d sigma / d lam of the branch with unit eigenvector ``v``, at most -1."""
+        return -1.0 - float(((self.q_w.T @ v) ** 2) @ ((inv * inv) @ self.weights))
+
+    def lowest(self, k: int, floor: float):
+        """The k lowest eigenvalues, and their vectors on the grid, unnormalized."""
+        nw = len(self.a_w)
+        block = self.poles[:k, :k]                      # holds every pole up to the k-th
+        blocks = np.zeros((k,) + self.shape)
+        if not nw:                      # the Kronecker sum itself
+            ps, qs = np.unravel_index(np.argsort(block, axis=None, kind="stable")[:k], block.shape)
+            for j, (p, q) in enumerate(zip(ps, qs)):
+                blocks[j, :, self.top:] = np.outer(self.q_r[:, p], self.q_z[:, q])
+            return block[ps, qs], blocks
+        small = np.sort(block, axis=None)
+        values = np.empty(k)
+        probes = []                     # (lam, #{eigenvalues < lam}) of every evaluation
+        lo = floor
+        for j in range(k):
+            hi = small[j]               # Cauchy interlacing: T is a submatrix of A
+            for x, count in probes:
+                if count <= j:
+                    lo = max(lo, x)
+                else:
+                    hi = min(hi, x)
+            inside = small[(small > lo) & (small < hi)]
+            while inside.size:          # bisect on the count at the median pole
+                x = inside[inside.size // 2]
+                count = self(x)[0]
+                probes.append((x, count))
+                if count <= j:
+                    lo = x
+                else:
+                    hi = x
+                inside = small[(small > lo) & (small < hi)]
+            n = j - int(np.count_nonzero(small <= lo))   # the branch of S crossing zero
+            if not 0 <= n < nw:
+                raise ConvergenceError(f"eigenvalue {j + 1}: the counts in ({lo!r}, {hi!r}) "
+                                       "are inconsistent")
+            values[j], (_, sigma, v, inv) = self.root(n, lo, hi, probes)
+            lo = values[j]
+            blocks[j, :nw, 0], blocks[j, :, 1:] = self.vector(n, sigma, v, inv)
+        return values, blocks
+
+    def root(self, n: int, lo: float, hi: float, probes: list):
+        """Root of the n-th eigenvalue branch of S on the pole-free ``(lo, hi)``.
+
+        The branch is continuous and falls with slope <= -1 there, from >= 0
+        at ``lo`` to < 0 at ``hi``.  Newton steps, replaced by bisection when
+        they leave the bracket or do not halve the step before last
+        (``rtsafe``, Press et al., Numerical Recipes, 3rd ed., 9.4), until the
+        branch is within the rounding level of S or the step within a few
+        ulps; the last Newton step is taken.  Returns the root and the
+        evaluation before that step, whose ``v[:, n]`` is the null vector.
+        """
+        eps = np.finfo(float).eps
+        x = 0.5 * (lo + hi)
+        step = step_old = hi - lo
+        while True:
+            count, sigma, v, inv = ev = self(x)
+            probes.append((x, count))
+            f = sigma[n]
+            df = self.slope(v[:, n], inv)
+            newton = x - f / df
+            noise = len(sigma) * eps * (self.scale + abs(x) + np.abs(sigma).max())
+            if abs(f) <= noise or abs(newton - x) <= 4.0 * eps * abs(x):
+                return min(max(newton, lo), hi), ev
+            if f > 0.0:
+                lo = x
+            else:
+                hi = x
+            if lo < newton < hi and abs(2.0 * f) <= abs(step_old * df):
+                step_old, step = step, newton - x
+            else:
+                step_old, step = step, 0.5 * (hi - lo)
+                newton = lo + step
+            if not lo < newton < hi:
+                return x, ev
+            x = newton
+
+    def vector(self, n: int, sigma: np.ndarray, v: np.ndarray, inv: np.ndarray):
+        """Eigenvector ``(x_W, x_T)`` of the root of branch n, unnormalized.
+
+        The direct vector is ``u = (v_n, -(T - lam)^{-1} B v_n)``.  Near a
+        pole its residual is ``|sigma_n| / |u|`` with ``|d sigma / d lam| =
+        |u|^2``, so the rounding of lam is amplified by ``|u|``; one step of
+        inverse iteration, ``sigma_n (A - lam)^{-1} u`` by block elimination
+        in the eigenbasis of T, removes that factor.
+        """
+        q_w, row = self.q_w, self.q_z[0]
+        u_w = v[:, n]
+        rhs = u_w + q_w @ (((inv * inv) @ self.weights) * (q_w.T @ u_w))   # u_W - B^T (T - lam)^{-1} u_T
+        ratio = np.divide(sigma[n], sigma, out=np.ones_like(sigma), where=sigma != 0.0)
+        ratio[n] = 1.0
+        x_w = v @ (ratio * (v.T @ rhs))
+        x_hat = -(np.outer(self.c * (q_w.T @ x_w), row)
+                  + sigma[n] * inv * np.outer(self.c * (q_w.T @ u_w), row)) * inv
+        return x_w, self.q_r @ x_hat @ self.q_z.T
 
 
-def lowest_eigs(op: CylOperator, k: int, max_iter: int = 20000) -> EigResult:
-    """k smallest eigenpairs by ARPACK in shift-invert mode.
+def count_below(op: CylOperator, lam: float) -> int:
+    """Number of eigenvalues of ``op.matrix`` below ``lam``, with no solve.
 
-    The shift is ``0.9 * op.spectral_floor``, below the whole spectrum (see
-    the module docstring), so the eigenvalues nearest the shift are the
-    lowest ones.  The inverse is applied by :func:`shifted_inverse`, which
-    raises :class:`ConvergenceError` unless it proves that no eigenvalue lies
-    below the shift.  The Lanczos start vector is all ones, so runs are
-    deterministic.  ARPACK stops at the relative Ritz tolerance
-    ``ARPACK_TOL`` or after ``max_iter`` restarts.  Residuals are
-    ``|A u - lambda u|`` for unit ``u``; if ARPACK stops early or any
-    residual exceeds ``EIG_RESIDUAL_TOL``, raises :class:`ConvergenceError`
-    with the pair of smallest residual.
+    #{mu_p + nu_q < lam}, plus, for a window with kept bottom nodes W, the
+    negative eigenvalues of the |W| x |W| Schur complement ``S(lam)`` (see
+    :class:`_Slicer`).  Exact in exact arithmetic, as a Sturm count is.
+    """
+    return _Slicer(op)(float(lam))[0]
+
+
+def lowest_eigs(op: CylOperator, k: int) -> EigResult:
+    """k smallest eigenpairs, exactly from the tensor structure.
+
+    Inner problems, and a window with no kept bottom node, are Kronecker sums:
+    the values are the k smallest ``mu_p + nu_q`` (a stable sort), the vectors
+    ``Q_r[:, p] (x) Q_z[:, q]``.  Otherwise the j-th value lies between
+    ``op.spectral_floor`` (or the value before it) and the j-th smallest pole
+    (Cauchy interlacing).  Counts at the poles inside bisect that bracket
+    until it holds none, then a safeguarded Newton iteration finds the root
+    of the eigenvalue branch of S that crosses zero there, and one
+    fast-diagonalization transform gives the vector (see :class:`_Slicer`).
+    There is no start vector and no iteration cap.  Residuals are
+    ``|A u - lambda u|`` for unit ``u``; if any exceeds ``EIG_RESIDUAL_TOL``,
+    raises :class:`ConvergenceError` with the pair of smallest residual.
     """
     k = int(k)
     if not 1 <= k <= 10:
         raise ValueError("k must be in 1..10")
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-    m = op.matrix
-    n = m.shape[0]
-    shift = 0.9 * op.spectral_floor
-    opinv = LinearOperator((n, n), matvec=shifted_inverse(op, shift), dtype=np.float64)
-    try:
-        values, vectors = eigsh(m, k, sigma=shift, OPinv=opinv, v0=np.ones(n),
-                                tol=ARPACK_TOL, maxiter=max_iter)
-        failure = None
-    except ArpackNoConvergence as exc:
-        values, vectors = exc.eigenvalues, exc.eigenvectors
-        failure = f"ARPACK converged {len(values)} of {k} eigenpairs in {max_iter} iterations"
-    order = np.argsort(values)
-    values = values[order]
-    vectors = vectors[:, order] / np.linalg.norm(vectors[:, order], axis=0)
-    residuals = [float(r) for r in np.linalg.norm(m @ vectors - vectors * values, axis=0)]
-    if failure is None and max(residuals) > EIG_RESIDUAL_TOL:
-        failure = f"eigenpair residual {max(residuals)} above {EIG_RESIDUAL_TOL}"
-    if failure is not None:
-        best = int(np.argmin(residuals)) if residuals else None
+    values, blocks = _Slicer(op).lowest(k, op.spectral_floor)
+    vectors = blocks[:, op.active].T
+    vectors /= np.linalg.norm(vectors, axis=0)
+    residuals = [float(r) for r in np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)]
+    if max(residuals) > EIG_RESIDUAL_TOL:
+        best = int(np.argmin(residuals))
         raise ConvergenceError(
-            failure,
-            best_value=None if best is None else float(values[best]),
-            best_residual=None if best is None else residuals[best])
+            f"eigenpair residual {max(residuals)} above {EIG_RESIDUAL_TOL}",
+            best_value=float(values[best]), best_residual=residuals[best])
     return EigResult(values=[float(v) for v in values], residuals=residuals,
                      grid=op.grid, bc=op.bc)
 

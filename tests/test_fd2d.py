@@ -1,6 +1,9 @@
 """2-D axisymmetric eigensolver: structure, brackets, and convergence."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh, eigvalsh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence
+from test_cli import _SCIPY_PROBE
 from test_properties import PROPERTY
 
 from starklayer import bracket, cli, fd2d, specfun, transverse
@@ -154,88 +157,73 @@ def test_window_requires_positive_radius():
 
 def test_lowest_eigs_validation_and_convergence_error(monkeypatch):
     p = WaveguideParams(F=0.0, d=PI, a=3.0)
-    op = fd2d.assemble(p, fd2d.CylGrid(16, 16, 3.0, PI), fd2d.WindowBC(ID))
+    ops = [fd2d.assemble(p, fd2d.CylGrid(16, 16, r_max, PI), fd2d.WindowBC(kind))
+           for kind, r_max in ((ID, 3.0), (TF, 24.0))]
     with pytest.raises(ValueError):
-        fd2d.lowest_eigs(op, 0)
+        fd2d.lowest_eigs(ops[0], 0)
     with pytest.raises(ValueError):
-        fd2d.lowest_eigs(op, 11)
+        fd2d.lowest_eigs(ops[0], 11)
 
-    # ARPACK converges even at maxiter=1 on this grid, so stand in a solver
-    # that stops with one partial pair, as ArpackNoConvergence reports it.
-    u = np.ones((op.dimension, 1))
-    seen = {}
-
-    def stalled(A, k, **kwargs):
-        seen.update(kwargs)
-        raise ArpackNoConvergence("stalled", np.array([0.9]), u)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-    with pytest.raises(fd2d.ConvergenceError) as err:
-        fd2d.lowest_eigs(op, 1, max_iter=1)
-    assert seen["maxiter"] == 1
-    unit = u[:, 0] / np.linalg.norm(u[:, 0])
-    assert err.value.best_value == 0.9
-    assert err.value.best_residual == pytest.approx(
-        np.linalg.norm(op.matrix @ unit - 0.9 * unit), rel=1e-12)
-
-    # A returned pair whose residual exceeds the bound is not accepted either.
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kwargs: (np.array([0.9]), u))
-    with pytest.raises(fd2d.ConvergenceError) as err:
-        fd2d.lowest_eigs(op, 1)
-    assert err.value.best_value == 0.9
-    assert err.value.best_residual > fd2d.EIG_RESIDUAL_TOL
+    # A residual bound of 0 rejects the pairs the solver returns; the error
+    # carries the one of smallest residual.
+    results = [fd2d.lowest_eigs(op, 2) for op in ops]
+    monkeypatch.setattr(fd2d, "EIG_RESIDUAL_TOL", 0.0)
+    for op, res in zip(ops, results):
+        with pytest.raises(fd2d.ConvergenceError) as err:
+            fd2d.lowest_eigs(op, 2)
+        best = int(np.argmin(res.residuals))
+        assert err.value.best_value == res.values[best]
+        assert err.value.best_residual == res.residuals[best]
 
 
 def _no_lu(*args, **kwargs):
     raise AssertionError("sparse LU called")
 
 
+def _no_arpack(*args, **kwargs):
+    raise AssertionError("ARPACK called")
+
+
 @pytest.mark.parametrize("m", [0, 2])
 @pytest.mark.parametrize("kind", list(fd2d.BCKind))
 def test_lowest_eigs_makes_no_sparse_lu_and_inverts_exactly(monkeypatch, kind, m):
+    # No factorization and no ARPACK: the count of eigenvalues below lam, which
+    # the solver inverts, equals the dense count.
     monkeypatch.setattr(fd2d, "splu", _no_lu)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", _no_lu)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _no_arpack)
     p = WaveguideParams(F=1.0, d=PI, a=3.0)
     op = fd2d.assemble(p, fd2d.CylGrid(16, 16, 12.0 if kind is TF else 3.0, PI),
                        fd2d.WindowBC(kind, m))
     assert len(fd2d.lowest_eigs(op, 2).values) == 2
 
-    shift = 0.9 * op.spectral_floor
-    apply = fd2d.shifted_inverse(op, shift)
-    b = np.random.default_rng(16).standard_normal(op.dimension)
-    dense = scipy.linalg.solve(op.matrix.toarray() - shift * np.eye(op.dimension), b)
-    assert np.linalg.norm(apply(b) - dense) <= 1e-12 * np.linalg.norm(dense)
+    dense = eigvalsh(op.matrix.toarray())
+    for lam in np.random.default_rng(16).uniform(dense[0] - 1.0, dense[40], 10):
+        assert fd2d.count_below(op, lam) == np.count_nonzero(dense < lam)
 
 
-def test_lowest_eigs_rejects_a_shift_above_the_lowest_eigenvalue():
-    # A shift between the two lowest eigenvalues leaves A - shift I indefinite:
-    # the shifted inverse must refuse it.
+def test_count_below_between_the_two_lowest_eigenvalues_is_one():
     p = WaveguideParams(F=1.0, d=PI, a=3.0)
     op = fd2d.assemble(p, fd2d.CylGrid(16, 16, 12.0, PI), fd2d.WindowBC(TF))
     lam = eigvalsh(op.matrix.toarray(), subset_by_index=(0, 1))
-    with pytest.raises(fd2d.ConvergenceError):
-        fd2d.shifted_inverse(op, 0.5 * (lam[0] + lam[1]))
+    assert fd2d.count_below(op, 0.5 * (lam[0] + lam[1])) == 1
 
 
-def test_readme_window_solve_applies_the_inverse_38_times(monkeypatch):
-    # A work counter, not a clock: ARPACK's inverse applications on the
-    # README solve2d case (128^2 window, k = 2).
-    real = fd2d.shifted_inverse
+def test_readme_window_solve_makes_13_counts(monkeypatch):
+    # A work counter, not a clock: Schur complement evaluations (each one a
+    # count) on the README solve2d case (128^2 window, k = 2).
+    real = fd2d._Slicer.__call__
     count = [0]
 
-    def counting(op, shift):
-        apply = real(op, shift)
+    def counting(self, lam):
+        count[0] += 1
+        return real(self, lam)
 
-        def counted(b):
-            count[0] += 1
-            return apply(b)
-        return counted
-
-    monkeypatch.setattr(fd2d, "shifted_inverse", counting)
+    monkeypatch.setattr(fd2d._Slicer, "__call__", counting)
     op = fd2d.assemble(WaveguideParams(F=1.0, d=PI, a=3.0), fd2d.CylGrid(128, 128, 24.0, PI),
                        fd2d.WindowBC(TF))
     assert len(fd2d.lowest_eigs(op, 2).values) == 2
-    assert count[0] == 38
+    assert count[0] == 13
 
 
 def test_window_residuals_at_256_are_a_few_eps_times_the_norm():
@@ -313,3 +301,80 @@ def test_deterministic_eigensolver():
     r1 = fd2d.lowest_eigs(op, 2)
     r2 = fd2d.lowest_eigs(op, 2)
     assert r1.values == r2.values and r1.residuals == r2.residuals
+
+
+def _poles(op, count):
+    """The lowest sums of radial and vertical factor eigenvalues of the op's Kronecker part.
+
+    ``eigh_tridiagonal`` with vectors, as the solver calls it, so that the sums
+    are the solver's poles to the last bit.
+    """
+    top = int(op.bc.kind is TF)
+    mu = scipy.linalg.eigh_tridiagonal(*op.radial)[0]
+    nu = scipy.linalg.eigh_tridiagonal(op.vertical[0][top:], op.vertical[1][top:])[0]
+    return np.sort(np.add.outer(mu, nu), axis=None)[:count]
+
+
+@PROPERTY
+@given(F=st.just(0.0) | st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e),
+       d=st.floats(0.5, 4.0), a=st.floats(0.2, 5.0),
+       nr=st.integers(8, 20), nz=st.integers(8, 20),
+       kind=st.sampled_from(list(fd2d.BCKind)), m=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_count_below_equals_the_dense_count(F, d, a, nr, nz, kind, m, seed):
+    p = WaveguideParams(F=F, d=d, a=a)
+    op = fd2d.assemble(p, fd2d.CylGrid(nr, nz, 8.0 * a if kind is TF else a, d),
+                       fd2d.WindowBC(kind, m))
+    mat = op.matrix.toarray()
+    dense = eigvalsh(mat)
+    # 20 random lam over the lower half of the spectrum, and the three lowest
+    # poles, where the count is the limit from below.
+    lams = np.concatenate([
+        np.random.default_rng(seed).uniform(dense[0] * 0.9, dense[len(dense) // 2], 20),
+        _poles(op, 3)])
+    for lam in lams:
+        if np.min(np.abs(dense - lam)) <= 1e-10 * abs(lam):
+            continue
+        assert fd2d.count_below(op, lam) == np.count_nonzero(dense < lam)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("kind", list(fd2d.BCKind))
+def test_lowest_ten_match_dense(kind, m):
+    p = WaveguideParams(F=1.0, d=PI, a=2.0)
+    op = fd2d.assemble(p, fd2d.CylGrid(12, 10, 16.0 if kind is TF else 2.0, PI),
+                       fd2d.WindowBC(kind, m))
+    res = fd2d.lowest_eigs(op, 10)
+    assert res.values == pytest.approx(eigvalsh(op.matrix.toarray())[:10], rel=1e-12)
+    assert max(res.residuals) <= fd2d.EIG_RESIDUAL_TOL
+
+
+def test_window_without_a_kept_bottom_node():
+    # a < h_r / 2: every bottom node is Dirichlet, so the window matrix is the
+    # Kronecker sum of the radial factor and the vertical one less its bottom row.
+    p = WaveguideParams(F=1.0, d=PI, a=0.1)
+    op = fd2d.assemble(p, fd2d.CylGrid(16, 12, 8.0, PI), fd2d.WindowBC(TF))
+    assert not op.active[:, 0].any()
+    mat = op.matrix.toarray()
+    dense = eigvalsh(mat)
+    res = fd2d.lowest_eigs(op, 3)
+    assert res.values == pytest.approx(dense[:3], rel=1e-12)
+    assert res.values == pytest.approx(_poles(op, 3), rel=1e-12)
+    for lam in (dense[0] - 0.5, 0.5 * (dense[0] + dense[1]), dense[5] + 0.1):
+        assert fd2d.count_below(op, lam) == np.count_nonzero(dense < lam)
+
+
+@pytest.mark.parametrize("problem", ["window", "inner-neumann"])
+def test_solve2d_loads_no_sparse_linalg(problem):
+    # A fresh process: ARPACK and SuperLU live in scipy.sparse.linalg, which
+    # the 2-D solve no longer needs.
+    argv = ["solve2d", "--F", "1", "--d", "3.141592653589793", "--a", "3",
+            "--problem", problem, "--nr", "32", "--nz", "32", "--k", "2"]
+    src = os.path.dirname(os.path.dirname(fd2d.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                         check=True, capture_output=True, text=True)
+    loaded = set(out.stdout.split())
+    assert "scipy.sparse" in loaded
+    assert not any(name.startswith("scipy.sparse.linalg") for name in loaded)
