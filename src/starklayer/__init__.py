@@ -15,7 +15,6 @@ from .specfun import (
     airy,
     airy_ai_zero,
     airy_aip_zero,
-    bessel_j,
     bessel_zero,
     integrate,
 )
@@ -27,7 +26,6 @@ from .transverse import (
     asymptotic_strong,
     asymptotic_weak,
     chi,
-    chi1_second_derivative,
     chi_prime,
     fd_levels_oracle,
     levels,

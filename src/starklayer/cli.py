@@ -23,7 +23,7 @@ from .certify import CertificateError
 from .certify import certify as _run_certify
 from .transverse import BoundaryType, WaveguideParams
 
-__all__ = ["RunConfig", "run", "emit_figure", "main"]
+__all__ = ["RunConfig", "run", "main"]
 
 _BC_NAMES = {
     "dirichlet": BoundaryType.DIRICHLET_DIRICHLET,
@@ -248,13 +248,6 @@ def run(config: RunConfig, out=None) -> int:
         return 2
     _emit(header, rows, payload, config, stream)
     return 0
-
-
-def emit_figure(config: RunConfig, out=None) -> int:
-    """Figure sweep CSV: header ``a,curve1,...,edge``, one row per step."""
-    if config.command != "figure":
-        raise ValueError("emit_figure requires a figure configuration")
-    return run(config, out=out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Special-function kernel: Airy pairs, Bessel J, their zeros, and quadrature.
+"""Special-function kernel: Airy pairs, Bessel zeros, and quadrature.
 
 Everything downstream (transverse spectra, analytic brackets, variational
 certificates) leans on the accuracy guarantees of this module, so the
@@ -6,29 +6,30 @@ tolerances live here in one place (``TOLERANCES``).
 
 Evaluation strategy
 -------------------
-* Airy functions: for ``|x| <= 8``, degree-16 Chebyshev interpolants of Ai,
-  Ai', Bi and Bi' on the 16 unit pieces of [-8, 8], shipped as
-  ``_airy_cheb.npy`` (generated from mpmath by ``tests/oracles.py``) and
-  summed by one Clenshaw recurrence for all four functions.  Pieces below
-  ``x = 2`` hold the raw values; the pieces above hold the scaled values
-  ``Ai*e^xi`` and ``Bi*e^-xi``, which are smooth there (``x**1.5`` is not
-  analytic at 0) and carry the decaying solution without the cancellation a
-  raw fit would suffer.  Exponentially scaled asymptotic expansions for
-  ``x > 8``; modulus/phase asymptotics for ``x < -8`` with the phase carried
-  in extended precision.  For ``x > 0`` results are stored scaled by
-  ``exp(±xi)``, ``xi = (2/3) x**1.5``, so both the decaying and the growing
-  solution stay representable for ``x`` up to at least ``1e4``.
+* Airy functions: degree-16 Chebyshev interpolants of Ai, Ai', Bi and Bi'
+  in 18 pieces, shipped as ``_airy_cheb.npy`` (generated from mpmath by
+  ``tests/oracles.py``) and summed by one Clenshaw recurrence for all four
+  functions and all points.  The 16 unit pieces of [-8, 8] hold the raw
+  values below ``x = 2`` and the scaled values ``Ai*e^xi`` and ``Bi*e^-xi``
+  above, which are smooth there (``x**1.5`` is not analytic at 0) and carry
+  the decaying solution without the cancellation a raw fit would suffer.
+  Beyond ``|x| = 8`` one piece on each side is a fit in
+  ``v = (8/|x|)**1.5``: for ``x > 8`` of the scaled values over their
+  leading asymptotic terms, for ``x < -8`` of the modulus and of the phase
+  less its leading term (DLMF 9.8), that term being reduced in extended
+  precision.  For ``x > 0`` results are stored scaled by ``exp(±xi)``,
+  ``xi = (2/3) x**1.5``, so both the decaying and the growing solution stay
+  representable for ``x`` up to at least ``1e4``.
 * Airy zeros: ``scipy.special.ai_zeros``, which returns the first n zeros
   of Ai and of Ai'; the n-th is the last of them.
-* Bessel ``J_m``: ``scipy.special.jv``, behind the order cap.
 * Bessel zeros: ``scipy.special.jn_zeros``, behind the order and index caps.
   Its first 100 zeros of every order ``m <= 64`` ship with the package in
   ``_jn_zeros.npy``; only a zero of index above 100 calls scipy.  Zeros are
   memoized in a lock-protected table, filled a whole prefix of indices at a
-  time.  ``scipy.special`` is imported on first use (an Airy-zero or
-  ``bessel_j`` call, or a zero-table miss above the shipped prefix), so the
-  Airy-function, quadrature and shipped-zero paths never load scipy.  Each
-  shipped table is read on its first use, not at import.
+  time.  ``scipy.special`` is imported on first use (an Airy-zero call, or a
+  zero-table miss above the shipped prefix), so the Airy-function,
+  quadrature and shipped-zero paths never load scipy.  Each shipped table is
+  read on its first use, not at import.
 
 Relative-error statements for the oscillatory regimes are with respect to the
 local envelope (any fixed-precision value has unbounded relative error at a
@@ -54,39 +55,27 @@ __all__ = [
     "airy_grid",
     "airy_ai_zero",
     "airy_aip_zero",
-    "bessel_j",
     "bessel_zero",
     "integrate",
     "TOLERANCES",
 ]
 
 TOLERANCES = {
-    "airy_rel": 1e-10,            # airy(): relative (envelope-relative for x<0)
-    "bessel_rel": 1e-10,          # bessel_j(): envelope-relative, x <= 1e3
-    "bessel_zero_abs": 1e-10,     # bessel_zero(): absolute
-    "wronskian": 1e-10,           # |pi*(Ai*Bi' - Ai'*Bi) - 1|
-    "quadrature_default": 1e-10,  # integrate(): absolute, when not overridden
+    "airy_rel": 1e-10,         # airy(): relative (envelope-relative for x<0)
+    "bessel_zero_abs": 1e-10,  # bessel_zero(): absolute
+    "wronskian": 1e-10,        # |pi*(Ai*Bi' - Ai'*Bi) - 1|
 }
 
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ZERO_INDEX = 1000
 
-MAX_CALL_POINTS = 1 << 15   # abscissae per kernel or integrand call (airy_grid: about 6 MB)
+MAX_CALL_POINTS = 1 << 15   # abscissae per kernel or integrand call (airy_grid: about 5 MB)
 
-_SERIES_CUT = 8.0         # Chebyshev table for |x| <= cut, asymptotics beyond
-_CHEB_SCALED_FROM = 2.0   # table pieces from here up hold scaled values
-_ASYM_TERMS = 40
+_CUT = 8                  # unit table pieces on [-cut, cut], one far piece each side
+_CHEB_SCALED_FROM = 2.0   # unit pieces from here up hold scaled values
 
+_SQRT_PI = math.sqrt(math.pi)
 _PI_LD = np.longdouble("3.141592653589793238462643383279502884")
-
-# u_k, v_k coefficients of the Airy asymptotic expansions.
-_AIRY_U = [1.0]
-_AIRY_V = [1.0]
-for _k in range(1, _ASYM_TERMS + 1):
-    _uk = _AIRY_U[-1] * (6 * _k - 5) * (6 * _k - 3) * (6 * _k - 1) / (216.0 * _k * (2 * _k - 1))
-    _AIRY_U.append(_uk)
-    _AIRY_V.append(_uk * (6 * _k + 1) / (1.0 - 6 * _k))
-del _k, _uk
 
 
 class UnsupportedOrderError(ValueError):
@@ -122,18 +111,16 @@ class AiryPair:
         return math.pi * (self.ai * self.bip - self.aip * self.bi) - 1.0
 
 
-def _airy_cheb(x):
-    """(n, 4) Ai, Ai', Bi, Bi' on ``|x| <= _SERIES_CUT`` from the shipped Chebyshev table.
+def _clenshaw(piece, t):
+    """(n, 4) sums ``sum_k c_k T_k(t)`` over the shipped table's rows ``piece``.
 
-    One Clenshaw recurrence evaluates all four functions, reading one degree
-    of coefficients per step.  The values are scaled (see :class:`AiryPair`)
-    from ``_CHEB_SCALED_FROM`` up and raw below it.
+    One recurrence evaluates all four functions of every point, reading one
+    degree of coefficients per step.
     """
     coef = _shipped("_airy_cheb.npy")
-    piece = (np.minimum(np.floor(x), _SERIES_CUT - 1.0) + _SERIES_CUT).astype(np.intp)
-    t = 2.0 * (x - (piece - (_SERIES_CUT - 0.5)))[:, None]
-    b1 = np.zeros((x.size, 4))
-    b2 = np.zeros((x.size, 4))
+    t = t[:, None]
+    b1 = np.zeros((t.size, 4))
+    b2 = np.zeros((t.size, 4))
     for k in range(coef.shape[1] - 1, -1, -1):
         # b_k = c_k + 2 t b_{k+1} - b_{k+2}, written over b_{k+2}; the value
         # sum c_k T_k(t) is the last step, which takes t for 2 t.
@@ -143,95 +130,35 @@ def _airy_cheb(x):
     return b1
 
 
-def _airy_asym_pos(x):
-    """Scaled Ai, Ai', Bi, Bi' for ``x > 8`` from the exponential asymptotics."""
-    xi = (2.0 / 3.0) * x ** 1.5
-    z = 1.0 / xi
-    x4 = x ** 0.25
-    sa = np.zeros_like(x)
-    sb = np.zeros_like(x)
-    sc = np.zeros_like(x)
-    sd = np.zeros_like(x)
-    zk = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    active = np.ones_like(x, dtype=bool)
-    for k in range(_ASYM_TERMS + 1):
-        tu = _AIRY_U[k] * zk
-        tv = _AIRY_V[k] * zk
-        active = active & (np.abs(tu) < prev)
-        sgn = 1.0 if k % 2 == 0 else -1.0
-        sa = sa + np.where(active, sgn * tu, 0.0)
-        sb = sb + np.where(active, tu, 0.0)
-        sc = sc + np.where(active, sgn * tv, 0.0)
-        sd = sd + np.where(active, tv, 0.0)
-        prev = np.abs(tu)
-        zk = zk * z
-    sp = math.sqrt(math.pi)
-    ai = sa / (2.0 * sp * x4)
-    bi = sb / (sp * x4)
-    aip = -sc * x4 / (2.0 * sp)
-    bip = sd * x4 / sp
-    return ai, aip, bi, bip, xi
-
-
-def _airy_asym_neg(x):
-    """Raw Ai, Ai', Bi, Bi' for ``x < -8`` from modulus/phase asymptotics.
-
-    The phase ``zeta + pi/4`` is reduced mod 2*pi in extended precision; the
-    residual phase rounding is ``~|zeta| * 1e-19``.
-    """
-    t = -x
-    t_ld = t.astype(np.longdouble)
-    zeta_ld = (np.longdouble(2) / np.longdouble(3)) * t_ld ** np.longdouble(1.5)
-    theta = np.mod(zeta_ld + _PI_LD / 4, 2 * _PI_LD).astype(np.float64)
-    zeta = zeta_ld.astype(np.float64)
-
-    z2 = 1.0 / (zeta * zeta)
-    p_sum = np.zeros_like(t)
-    q_sum = np.zeros_like(t)
-    r_sum = np.zeros_like(t)
-    s_sum = np.zeros_like(t)
-    zk = np.ones_like(t)
-    prev = np.full_like(t, np.inf)
-    active = np.ones_like(t, dtype=bool)
-    for k in range(_ASYM_TERMS // 2):
-        tp = _AIRY_U[2 * k] * zk
-        tq = _AIRY_U[2 * k + 1] * zk / zeta
-        tr = _AIRY_V[2 * k] * zk
-        ts = _AIRY_V[2 * k + 1] * zk / zeta
-        active = active & (np.abs(tp) < prev)
-        sgn = 1.0 if k % 2 == 0 else -1.0
-        p_sum = p_sum + np.where(active, sgn * tp, 0.0)
-        q_sum = q_sum + np.where(active, sgn * tq, 0.0)
-        r_sum = r_sum + np.where(active, sgn * tr, 0.0)
-        s_sum = s_sum + np.where(active, sgn * ts, 0.0)
-        prev = np.abs(tp)
-        zk = zk * z2
-
-    sp = math.sqrt(math.pi)
-    t4 = t ** 0.25
-    c = np.cos(theta)
-    s = np.sin(theta)
-    ai = (s * p_sum - c * q_sum) / (sp * t4)
-    bi = (c * p_sum + s * q_sum) / (sp * t4)
-    aip = -(c * r_sum + s * s_sum) * t4 / sp
-    bip = (s * r_sum - c * s_sum) * t4 / sp
-    return ai, aip, bi, bip
-
-
 def airy_grid(x):
     """Vectorized Airy evaluation.
 
     Returns ``(ai, aip, bi, bip, scale_exp)`` arrays under the same scaling
-    contract as :class:`AiryPair`.  Points with ``|x| <= 8`` are summed from
-    the shipped Chebyshev table (within 2e-15 of the scaled value, or of the
-    envelope for ``x < 0``), the others by the asymptotic expansions.
+    contract as :class:`AiryPair`.  Every point is summed from the shipped
+    Chebyshev table by one Clenshaw recurrence: a unit piece for
+    ``|x| <= 8``, one far piece on each side beyond, in
+    ``t = 2 (8/|x|)**1.5 - 1``.  The region decides only the scaling applied
+    afterwards.  Values are within 2e-15 of the scaled value for ``x >= 0``
+    and of the envelope for ``x < 0``, up to ``|x| = 400``; further out the
+    long-double phase ``zeta`` rounds to about ``|zeta| * 1e-19``.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("airy requires finite arguments")
     shape = x.shape
-    x = np.atleast_1d(x)
+    x = x.reshape(-1)
+
+    pos = x > _CUT
+    neg = x < -_CUT
+    far = pos | neg
+    near = ~far
+    piece = np.where(pos, 2 * _CUT, 2 * _CUT + 1)
+    t = np.empty_like(x)
+    xs = x[near]
+    piece[near] = p = (np.minimum(np.floor(xs), _CUT - 1.0) + _CUT).astype(np.intp)
+    t[near] = 2.0 * (xs - (p - (_CUT - 0.5)))
+    t[far] = 2.0 * (_CUT / np.abs(x[far])) ** 1.5 - 1.0
+    a, ap, b, bp = _clenshaw(piece, t).T
 
     ai = np.empty_like(x)
     aip = np.empty_like(x)
@@ -239,40 +166,44 @@ def airy_grid(x):
     bip = np.empty_like(x)
     scale = np.zeros_like(x)
 
-    ser = np.abs(x) <= _SERIES_CUT
-    pos = x > _SERIES_CUT
-    neg = x < -_SERIES_CUT
+    # Unit pieces: raw values below _CHEB_SCALED_FROM, scaled ones above.
+    xi = np.where(xs > 0.0, (2.0 / 3.0) * np.abs(xs) ** 1.5, 0.0)
+    es = np.where(xs < _CHEB_SCALED_FROM, np.exp(xi), 1.0)
+    ai[near] = a[near] * es
+    aip[near] = ap[near] * es
+    bi[near] = b[near] / es
+    bip[near] = bp[near] / es
+    scale[near] = xi
 
-    if np.any(ser):
-        xs = x[ser]
-        a, ap, b, bp = _airy_cheb(xs).T
-        xi = np.where(xs > 0.0, (2.0 / 3.0) * np.abs(xs) ** 1.5, 0.0)
-        es = np.where(xs < _CHEB_SCALED_FROM, np.exp(xi), 1.0)
-        ai[ser] = a * es
-        aip[ser] = ap * es
-        bi[ser] = b / es
-        bip[ser] = bp / es
-        scale[ser] = xi
-    if np.any(pos):
-        a, ap, b, bp, xi = _airy_asym_pos(x[pos])
-        ai[pos] = a
-        aip[pos] = ap
-        bi[pos] = b
-        bip[pos] = bp
-        scale[pos] = xi
-    if np.any(neg):
-        a, ap, b, bp = _airy_asym_neg(x[neg])
-        ai[neg] = a
-        aip[neg] = ap
-        bi[neg] = b
-        bip[neg] = bp
+    # x > 8: each fit is a scaled value over its leading asymptotic term
+    # (1 / (2 sqrt(pi) x**(1/4)) for Ai); multiply that term back in.
+    xp = x[pos]
+    x4 = xp ** 0.25
+    ai[pos] = a[pos] / (2.0 * _SQRT_PI * x4)
+    aip[pos] = -ap[pos] * x4 / (2.0 * _SQRT_PI)
+    bi[pos] = b[pos] / (_SQRT_PI * x4)
+    bip[pos] = bp[pos] * x4 / _SQRT_PI
+    scale[pos] = (2.0 / 3.0) * xp ** 1.5
 
-    ai = ai.reshape(shape)
-    aip = aip.reshape(shape)
-    bi = bi.reshape(shape)
-    bip = bip.reshape(shape)
-    scale = scale.reshape(shape)
-    return ai, aip, bi, bip, scale
+    # x < -8: modulus and phase.  The phases' leading terms are reduced to
+    # [-pi, pi) in extended precision (residual rounding ~|zeta| * 1e-19).
+    s = -x[neg]
+    s_ld = s.astype(np.longdouble)
+    zeta = 2 * s_ld * np.sqrt(s_ld) / 3
+
+    def reduced(lead):
+        return (np.mod(lead - zeta + _PI_LD, 2 * _PI_LD) - _PI_LD).astype(np.float64)
+    theta = reduced(_PI_LD / 4) + b[neg]
+    phi = reduced(3 * _PI_LD / 4) + bp[neg]
+    s4 = s ** 0.25
+    m = a[neg] / (_SQRT_PI * s4)
+    n = ap[neg] * s4 / _SQRT_PI
+    ai[neg] = m * np.cos(theta)
+    bi[neg] = m * np.sin(theta)
+    aip[neg] = n * np.cos(phi)
+    bip[neg] = n * np.sin(phi)
+
+    return tuple(v.reshape(shape) for v in (ai, aip, bi, bip, scale))
 
 
 def airy(x: float) -> AiryPair:
@@ -300,23 +231,8 @@ def airy_aip_zero(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind
+# Zeros of the Bessel functions of the first kind
 # ---------------------------------------------------------------------------
-
-def bessel_j(m: int, x: float) -> float:
-    """Bessel function of the first kind ``J_m(x)`` for ``0 <= m <= 64``, ``x >= 0``.
-
-    Envelope-relative accuracy ``<= 1e-10`` for ``x <= 1e3``.
-    """
-    m = int(m)
-    if m < 0 or m > MAX_BESSEL_ORDER:
-        raise UnsupportedOrderError(f"order {m} outside supported range 0..{MAX_BESSEL_ORDER}")
-    x = float(x)
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise ValueError("argument must be finite and nonnegative")
-    import scipy.special
-    return float(scipy.special.jv(m, x))
-
 
 @dataclass
 class BesselZeroTable:

@@ -41,7 +41,6 @@ __all__ = [
     "strong_field_airy_level",
     "chi",
     "chi_prime",
-    "chi1_second_derivative",
 ]
 
 LEVEL_REL_TOL = 1e-10          # eigenvalue location accuracy of levels()
@@ -392,15 +391,6 @@ def strong_field_airy_level(params: WaveguideParams, bc: BoundaryType, n: int) -
     else:
         t = specfun.airy_aip_zero(n)
     return t * params.F ** (2.0 / 3.0)
-
-
-def chi1_second_derivative(level: TransverseLevel, params: WaveguideParams, z):
-    """``chi_1''(z) = (F z - lambda) chi_1(z)`` via the differential equation."""
-    if level.bc is not BoundaryType.DIRICHLET_DIRICHLET or level.n != 1:
-        raise ValueError("requires the Dirichlet-Dirichlet ground state")
-    z_arr = np.asarray(z, dtype=np.float64)
-    out = (params.F * z_arr - level.lam) * chi(level, params, z_arr)
-    return float(out) if np.isscalar(z) else out
 
 
 @lru_cache(maxsize=128)

@@ -2,7 +2,7 @@
 
 Everything here is computed with mpmath multiprecision arithmetic, mostly
 summed from defining power series; the production code paths (Chebyshev
-tables, asymptotic expansions, recurrences) share nothing with these routines.
+tables, recurrences) share nothing with these routines.
 ``airy_cheb_table`` also generates the shipped table ``_airy_cheb.npy``.
 ``certificate_q`` integrates the defining integrals of the certificate's Q
 with mpmath's Airy functions and quadrature; ``bump_moments`` rebuilds the
@@ -101,33 +101,73 @@ def bessel_zero_oracle(m, k_bracket, dps=50):
 
 
 def airy_cheb_table(cut=8, scaled_from=2, degree=16, dps=40):
-    """Chebyshev coefficients of Ai, Ai', Bi, Bi' on the unit pieces of [-cut, cut].
+    """Chebyshev coefficients of Ai, Ai', Bi, Bi' on the real line, in 2 cut + 2 pieces.
 
     Entry ``[p, k, f]`` is the coefficient of ``T_k(t)`` for function ``f``
-    on piece ``p`` = [p - cut, p - cut + 1], with ``t = 2 (x - mid)`` and the
-    constant term halved, so the piece's value is ``sum_k c_k T_k(t)``.
-    Pieces from ``scaled_from`` up hold Ai e^xi, Ai' e^xi, Bi e^-xi and
-    Bi' e^-xi (xi = (2/3) x^(3/2)); the pieces below hold the raw values.
+    on piece ``p``, with the constant term halved, so the piece's value is
+    ``sum_k c_k T_k(t)``.  Piece ``p < 2 cut`` is [p - cut, p - cut + 1] with
+    ``t = 2 (x - mid)``.  Pieces from ``scaled_from`` up hold Ai e^xi,
+    Ai' e^xi, Bi e^-xi and Bi' e^-xi (xi = (2/3) x^(3/2)); the pieces below
+    hold the raw values.  Pieces ``2 cut`` (x > cut) and ``2 cut + 1``
+    (x < -cut) take ``t = 2 v - 1`` with ``v = (cut/|x|)^(3/2)`` and hold
+    functions that tend to 1, or to 0 for the phases, as |x| grows:
+
+    * x > cut: 2 sqrt(pi) x^(1/4) e^xi Ai, -2 sqrt(pi) x^(-1/4) e^xi Ai',
+      sqrt(pi) x^(1/4) e^-xi Bi and sqrt(pi) x^(-1/4) e^-xi Bi';
+    * x = -s < -cut, in the modulus-phase form of DLMF 9.8
+      (Ai = M cos theta, Bi = M sin theta, Ai' = N cos phi, Bi' = N sin phi):
+      sqrt(pi) s^(1/4) M, sqrt(pi) s^(-1/4) N, theta - (pi/4 - zeta) and
+      phi - (3 pi/4 - zeta), zeta = (2/3) s^(3/2), the phases in (-pi, pi].
+
     Each coefficient is the cosine sum over the ``degree + 1`` first-kind
     Chebyshev nodes, with mpmath's ``airyai``/``airybi`` at ``dps`` digits.
     Regenerate the shipped table from ``tests/`` with
     ``python -c "import numpy, oracles; numpy.save('../src/starklayer/_airy_cheb.npy', oracles.airy_cheb_table())"``.
     """
     n = degree + 1
-    table = np.empty((2 * cut, n, 4))
+    table = np.empty((2 * cut + 2, n, 4))
     with mp.workdps(dps):
         theta = [mp.pi * (i + mp.mpf(0.5)) / n for i in range(n)]
-        for p in range(2 * cut):
-            lo = p - cut
-            rows = []
-            for th in theta:
-                x = lo + (1 + mp.cos(th)) / 2
-                f = [mp.airyai(x), mp.airyai(x, derivative=1),
-                     mp.airybi(x), mp.airybi(x, derivative=1)]
+        root_pi = mp.sqrt(mp.pi)
+
+        def far(t):
+            return cut * ((1 + t) / 2) ** (mp.mpf(-2) / 3)
+
+        def airy4(x):
+            return [mp.airyai(x), mp.airyai(x, derivative=1),
+                    mp.airybi(x), mp.airybi(x, derivative=1)]
+
+        def unit_piece(lo):
+            def values(t):
+                x = lo + (1 + t) / 2
+                f = airy4(x)
                 if lo >= scaled_from:
                     e = mp.exp(2 * x ** mp.mpf(1.5) / 3)
                     f = [f[0] * e, f[1] * e, f[2] / e, f[3] / e]
-                rows.append(f)
+                return f
+            return values
+
+        def right(t):
+            x = far(t)
+            ai, aip, bi, bip = airy4(x)
+            x4, e = mp.root(x, 4), mp.exp(2 * x ** mp.mpf(1.5) / 3)
+            return [2 * root_pi * x4 * e * ai, -2 * root_pi / x4 * e * aip,
+                    root_pi * x4 / e * bi, root_pi / x4 / e * bip]
+
+        def left(t):
+            s = far(t)
+            ai, aip, bi, bip = airy4(-s)
+            s4, zeta = mp.root(s, 4), 2 * s ** mp.mpf(1.5) / 3
+
+            def phase(y, x, lead):
+                c = mp.atan2(y, x) - (lead - zeta)
+                return c - 2 * mp.pi * mp.ceil((c - mp.pi) / (2 * mp.pi))
+            return [root_pi * s4 * mp.hypot(ai, bi), root_pi / s4 * mp.hypot(aip, bip),
+                    phase(bi, ai, mp.pi / 4), phase(bip, aip, 3 * mp.pi / 4)]
+
+        pieces = [unit_piece(p - cut) for p in range(2 * cut)] + [right, left]
+        for p, values in enumerate(pieces):
+            rows = [values(mp.cos(th)) for th in theta]
             for k in range(n):
                 for j in range(4):
                     c = 2 * mp.fsum(row[j] * mp.cos(k * th) for row, th in zip(rows, theta)) / n

@@ -230,22 +230,11 @@ def test_solve2d_default_grid_three_window_levels(capsys):
     assert all(float(r[2]) <= fd2d.EIG_RESIDUAL_TOL for r in rows)
 
 
-def test_emit_figure_requires_figure_command():
-    args = cli._build_parser().parse_args(
-        ["levels", "--F", "0", "--d", "1", "--bc", "dirichlet"])
-    config = cli.config_from_args(args)
-    with pytest.raises(ValueError):
-        cli.emit_figure(config)
-
-
-def test_emit_figure_writes_csv(tmp_path):
-    args = cli._build_parser().parse_args(
-        ["figure", "--F", "1", "--d", "1", "--a-min", "1", "--a-max", "2",
-         "--steps", "3"])
-    config = cli.config_from_args(args)
-    buf = io.StringIO()
-    assert cli.emit_figure(config, out=buf) == 0
-    lines = buf.getvalue().strip().splitlines()
+def test_figure_command_writes_csv():
+    code, text = run_capture(["figure", "--F", "1", "--d", "1", "--a-min", "1",
+                              "--a-max", "2", "--steps", "3"])
+    assert code == 0
+    lines = text.strip().splitlines()
     assert lines[0] == "a,curve1,curve2,curve3,edge"
     assert len(lines) == 4
 

@@ -118,8 +118,8 @@ def test_bessel_zero_is_scipys_in_any_access_order(data):
 
 def _at_table_piece_edges(test):
     # Every integer of [-8, 8] bounds a table piece; x = 2 also switches from
-    # raw to scaled pieces, and the doubles beside +-8 take the asymptotics.
-    cut = int(specfun._SERIES_CUT)
+    # raw to scaled pieces, and the doubles beside +-8 take the far pieces.
+    cut = specfun._CUT
     for b in range(-cut, cut + 1):
         for x in (math.nextafter(b, -math.inf), float(b), math.nextafter(b, math.inf)):
             test = example(x=x)(test)
@@ -128,11 +128,11 @@ def _at_table_piece_edges(test):
 
 @PROPERTY
 @_at_table_piece_edges
-@given(x=st.floats(-8.5, 8.5))
+@given(x=st.one_of(st.floats(-8.5, 8.5), st.floats(8.0, 400.0, exclude_min=True),
+                   st.floats(-400.0, -8.0, exclude_max=True)))
 def test_airy_grid_matches_mpmath(x):
     # Relative to the scaled value for x >= 0, to the envelope sqrt(Ai^2 + Bi^2)
-    # (sqrt(Ai'^2 + Bi'^2) for the derivatives) for x < 0.  Past the table the
-    # asymptotic expansions are up to 7.3e-15 off, so they are held to 1e-14.
+    # (sqrt(Ai'^2 + Bi'^2) for the derivatives) for x < 0.
     got = [float(v[0]) for v in specfun.airy_grid(np.array([x]))[:4]]
     with mp.workdps(40):
         want = [mp.airyai(x), mp.airyai(x, derivative=1), mp.airybi(x), mp.airybi(x, derivative=1)]
@@ -145,4 +145,4 @@ def test_airy_grid_matches_mpmath(x):
             env_prime = mp.sqrt(want[1] ** 2 + want[3] ** 2)
             scales = [env, env_prime, env, env_prime]
         errors = [float(abs(g - w) / s) for g, w, s in zip(got, want, scales)]
-    assert max(errors) <= (2e-15 if abs(x) <= specfun._SERIES_CUT else 1e-14)
+    assert max(errors) <= 2e-15

@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
+from scipy.special import jv
 
 from starklayer import certify, specfun, transverse
 from starklayer.transverse import WaveguideParams
@@ -101,45 +102,63 @@ def test_airy_zeros_match_mpmath_first_hundred():
             zero(0)
 
 
+def _fresh_python(probe):
+    """Stdout of ``probe`` run by a new interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_shipped_airy_table_is_the_oracles():
-    cut = int(specfun._SERIES_CUT)
+    cut = specfun._CUT
     shipped = specfun._shipped("_airy_cheb.npy")
-    assert shipped.shape == (2 * cut, 17, 4)
+    assert shipped.shape == (2 * cut + 2, 17, 4)
     assert shipped.dtype == np.float64
     assert np.array_equal(shipped, oracles.airy_cheb_table(cut, specfun._CHEB_SCALED_FROM))
 
 
 def test_airy_table_read_on_first_table_call():
-    specfun._shipped.cache_clear()
-    specfun.airy_grid(np.array([-9.0, 9.0]))   # asymptotic branches only
-    assert specfun._shipped.cache_info().currsize == 0
-    specfun.airy_grid(np.array([0.5]))
-    assert specfun._shipped.cache_info().currsize == 1
+    probe = ("from starklayer import specfun\n"
+             "print(specfun._shipped.cache_info().currsize)\n")
+    assert _fresh_python(probe) == "0\n"
+    for x in (-9.0, 0.5, 9.0):   # far left piece, a unit piece, far right piece
+        specfun._shipped.cache_clear()
+        specfun.airy_grid(np.array([x]))
+        specfun.airy_grid(np.array([x]))
+        info = specfun._shipped.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_airy_grid_peak_memory_at_the_call_point_cap():
     # The recurrence gathers one degree of coefficients at a time; gathering
     # the whole (n, 17, 4) block at once would exceed this bound.
-    x = np.linspace(-8.0, 8.0, specfun.MAX_CALL_POINTS)
-    specfun.airy_grid(x[:1])
-    tracemalloc.start()
-    try:
-        specfun.airy_grid(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    specfun.airy_grid(np.zeros(1))
+    for half_width in (8.0, 400.0):
+        x = np.linspace(-half_width, half_width, specfun.MAX_CALL_POINTS)
+        tracemalloc.start()
+        try:
+            specfun.airy_grid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 def test_double_double_module_is_gone():
-    src = os.path.dirname(os.path.dirname(specfun.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("try:\n    import starklayer._dd\n"
              "except ModuleNotFoundError:\n    print('gone')\n")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout == "gone\n"
+    assert _fresh_python(probe) == "gone\n"
+
+
+def test_uncalled_entry_points_are_gone():
+    probe = ("import starklayer\nfrom starklayer import cli, specfun, transverse\n"
+             "public = ('bessel_j', 'emit_figure', 'chi1_second_derivative')\n"
+             "private = ('_airy_asym_pos', '_airy_asym_neg', '_AIRY_U')\n"
+             "print([(m.__name__, n) for m in (starklayer, specfun, cli, transverse)\n"
+             "       for n in public + (private if m is specfun else ()) if hasattr(m, n)])\n")
+    assert _fresh_python(probe) == "[]\n"
 
 
 def test_airy_rejects_nonfinite():
@@ -147,10 +166,14 @@ def test_airy_rejects_nonfinite():
         specfun.airy(math.nan)
 
 
+# The next four tests pin scipy's J_m, which the mode-matching solve of the
+# window (ROADMAP item 9) is to call directly, against the series oracle and
+# mpmath.
+
 def test_bessel_trivial_values():
-    assert specfun.bessel_j(0, 0.0) == 1.0
-    assert specfun.bessel_j(1, 0.0) == 0.0
-    assert specfun.bessel_j(7, 0.0) == 0.0
+    assert jv(0, 0.0) == 1.0
+    assert jv(1, 0.0) == 0.0
+    assert jv(7, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 40, 64])
@@ -158,7 +181,7 @@ def test_bessel_matches_series_oracle(m):
     for x in [0.3, 1.0, 5.0, 12.0, 16.5, 0.5 * m, m - 1.0, m + 5.0, 55.0]:
         if x <= 0.0 or x > 60.0:
             continue
-        got = specfun.bessel_j(m, x)
+        got = jv(m, x)
         want = float(oracles.bessel_series(m, x, dps=80))
         scale = max(abs(want), math.sqrt(2.0 / (math.pi * x)))
         assert abs(got - want) <= 1e-11 * scale
@@ -167,7 +190,7 @@ def test_bessel_matches_series_oracle(m):
 @pytest.mark.parametrize("m", [0, 1, 8, 64])
 def test_bessel_large_argument_against_mpmath(m):
     for x in [80.0, 300.0, 1000.0]:
-        got = specfun.bessel_j(m, x)
+        got = jv(m, x)
         want = float(mp.besselj(m, x))
         scale = max(abs(want), math.sqrt(2.0 / (math.pi * x)))
         assert abs(got - want) <= 1e-11 * scale
@@ -176,8 +199,8 @@ def test_bessel_large_argument_against_mpmath(m):
 def test_bessel_recurrence_identity():
     for m in [1, 2, 3, 6, 10, 30]:
         for x in np.linspace(0.5, 100.0, 41):
-            jm = specfun.bessel_j(m, x)
-            lhs = specfun.bessel_j(m - 1, x) + specfun.bessel_j(m + 1, x)
+            jm = jv(m, x)
+            lhs = jv(m - 1, x) + jv(m + 1, x)
             rhs = (2.0 * m / x) * jm
             scale = abs(lhs) + abs(rhs) + math.sqrt(2.0 / (math.pi * x))
             assert abs(lhs - rhs) <= 1e-8 * scale
@@ -196,7 +219,7 @@ def test_bessel_zero_defining_property():
     for m in (0, 1, 4, 11, 40):
         for k in (1, 2, 7):
             x = specfun.bessel_zero(m, k)
-            assert abs(specfun.bessel_j(m, x)) <= 1e-10
+            assert abs(oracles.bessel_series(m, x)) <= 1e-10
 
 
 def test_bessel_zero_interlacing():
@@ -220,13 +243,9 @@ def test_mcmahon_asymptotic_consistency():
 
 def test_bessel_order_and_index_caps():
     with pytest.raises(specfun.UnsupportedOrderError):
-        specfun.bessel_j(65, 1.0)
-    with pytest.raises(specfun.UnsupportedOrderError):
         specfun.bessel_zero(65, 1)
     with pytest.raises(specfun.UnsupportedOrderError):
         specfun.bessel_zero(0, 1001)
-    with pytest.raises(ValueError):
-        specfun.bessel_j(0, -1.0)
 
 
 def test_zero_table_memoization(monkeypatch):

@@ -161,19 +161,23 @@ def test_strong_field_stated_convention_reported_not_asserted():
         transverse.asymptotic_strong(WaveguideParams(F=0.0, d=1.0), DD, 1)
 
 
+def _chi1_second_derivative(lvl, p, z):
+    """chi_1'' from the differential equation chi'' = (F z - lambda) chi."""
+    return (p.F * z - lvl.lam) * transverse.chi(lvl, p, z)
+
+
 def test_chi1_second_derivative_field_free_identity():
     p = WaveguideParams(F=0.0, d=PI)
     lvl = transverse.levels(p, DD, 1)[0]
     z = np.linspace(0.1, PI - 0.1, 7)
-    second = transverse.chi1_second_derivative(lvl, p, z)
+    second = _chi1_second_derivative(lvl, p, z)
     assert second == pytest.approx(-transverse.chi(lvl, p, z), rel=1e-12)
 
 
 def test_chi1_second_derivative_integrates_negative():
     p = WaveguideParams(F=1.0, d=1.0)
     lvl = transverse.levels(p, DD, 1)[0]
-    total = specfun.integrate(lambda z: transverse.chi1_second_derivative(lvl, p, z),
-                              0.0, 1.0, 1e-10)
+    total = specfun.integrate(lambda z: _chi1_second_derivative(lvl, p, z), 0.0, 1.0, 1e-10)
     assert total < 0.0
     assert total == pytest.approx(transverse.chi_prime(lvl, p, 1.0)
                                   - transverse.chi_prime(lvl, p, 0.0), abs=1e-8)
@@ -183,18 +187,11 @@ def test_chi1_second_derivative_integration_by_parts():
     p = WaveguideParams(F=1.0, d=1.0)
     lvl = transverse.levels(p, DD, 1)[0]
     lhs = specfun.integrate(
-        lambda z: transverse.chi1_second_derivative(lvl, p, z) * transverse.chi(lvl, p, z),
+        lambda z: _chi1_second_derivative(lvl, p, z) * transverse.chi(lvl, p, z),
         0.0, 1.0, 1e-10)
     rhs = -specfun.integrate(lambda z: transverse.chi_prime(lvl, p, z) ** 2,
                              0.0, 1.0, 1e-10)
     assert lhs == pytest.approx(rhs, abs=1e-8)
-
-
-def test_chi1_second_derivative_requires_ground_state():
-    p = WaveguideParams(F=1.0, d=1.0)
-    lvl = transverse.levels(p, ND, 1)[0]
-    with pytest.raises(ValueError):
-        transverse.chi1_second_derivative(lvl, p, 0.5)
 
 
 def test_levels_count_validation():
