@@ -8,11 +8,9 @@ axisymmetric finite-difference eigensolver.
 """
 
 from .specfun import (
-    AiryPair,
     BesselZeroTable,
     QuadratureError,
     UnsupportedOrderError,
-    airy,
     airy_ai_zero,
     airy_aip_zero,
     bessel_zero,

@@ -25,14 +25,15 @@ leaves only the boundary term at the window, ``C = 4*pi*a^2*I_2*chi_1'(0)``.
 ``A, C > 0`` always, so suitable ``(eps, tau)`` drive Q negative: a
 computable witness that the discrete spectrum below the essential-spectrum
 edge is nonempty.
+
+Phi itself is never evaluated here; its float64 pieces, which tests
+integrate, and an mpmath Q from the defining integrals are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bracket import SpectralWindow, window
 from .transverse import BoundaryType, WaveguideParams, chi_prime, ground_level
@@ -41,12 +42,6 @@ __all__ = [
     "TrialSpec",
     "Certificate",
     "CertificateError",
-    "bump",
-    "bump_prime",
-    "cutoff_profile",
-    "cutoff_profile_prime",
-    "cutoff_dilated",
-    "cutoff_dilated_prime",
     "q_functional",
     "coefficients",
     "certify",
@@ -54,10 +49,10 @@ __all__ = [
 
 CUTOFF_DECAY_WIDTH = 1.0   # decay interval [b, b+1]; keeps the tau-coefficient universal
 
-# Moments of the unit bump g(s) = bump(s, 1) over (0, 1), by mpmath at 30
-# digits (tests/oracles.py::bump_moments): int g^2 s ds, int g^4 s ds and
-# int ((g^2)')^2 s ds.  bump(r, a) = g(r/a), so the first two scale as a^2
-# and the last does not scale.
+# Moments of the unit bump g(s) = exp(-1/(1-(2s-1)^2)) over (0, 1), by mpmath
+# at 30 digits (tests/oracles.py::bump_moments): int g^2 s ds, int g^4 s ds and
+# int ((g^2)')^2 s ds.  phi(r) = g(r/a), so the first two scale as a^2 and the
+# last does not scale.
 _BUMP_I2 = 0.033271530211248567889
 _BUMP_I4 = 0.0035149292033048281196
 _BUMP_IG = 0.0532714369890281506
@@ -108,69 +103,6 @@ class Certificate:
         return self.q_value < 0.0
 
 
-def bump(r, a: float):
-    """Smooth bump supported in (0, a), peak value e^-1 at r = a/2."""
-    r_arr = np.asarray(r, dtype=np.float64)
-    s = (2.0 * r_arr - a) / a
-    inside = np.abs(s) < 1.0 - 1e-14
-    s_safe = np.where(inside, s, 0.0)
-    out = np.where(inside, np.exp(-1.0 / (1.0 - s_safe ** 2)), 0.0)
-    return float(out) if np.isscalar(r) else out
-
-
-def bump_prime(r, a: float):
-    r_arr = np.asarray(r, dtype=np.float64)
-    s = (2.0 * r_arr - a) / a
-    inside = np.abs(s) < 1.0 - 1e-14
-    s_safe = np.where(inside, s, 0.0)
-    one = 1.0 - s_safe ** 2
-    out = np.where(inside, np.exp(-1.0 / one) * (-2.0 * s_safe / one ** 2) * (2.0 / a), 0.0)
-    return float(out) if np.isscalar(r) else out
-
-
-def _smoothstep(t):
-    return ((6.0 * t - 15.0) * t + 10.0) * t ** 3
-
-
-def _smoothstep_prime(t):
-    return 30.0 * t ** 2 * (1.0 - t) ** 2
-
-
-def cutoff_profile(s, b: float):
-    """Plateau profile: 1 on [0, b], quintic decay on [b, b+1], 0 beyond."""
-    s_arr = np.asarray(s, dtype=np.float64)
-    t = np.clip((s_arr - b) / CUTOFF_DECAY_WIDTH, 0.0, 1.0)
-    out = 1.0 - _smoothstep(t)
-    return float(out) if np.isscalar(s) else out
-
-
-def cutoff_profile_prime(s, b: float):
-    s_arr = np.asarray(s, dtype=np.float64)
-    t = (s_arr - b) / CUTOFF_DECAY_WIDTH
-    on = (t > 0.0) & (t < 1.0)
-    t_safe = np.where(on, t, 0.0)
-    out = np.where(on, -_smoothstep_prime(t_safe) / CUTOFF_DECAY_WIDTH, 0.0)
-    return float(out) if np.isscalar(s) else out
-
-
-def cutoff_dilated(r, b: float, tau: float):
-    """``phi_tau(r)``: the profile traversed logarithmically beyond the plateau."""
-    r_arr = np.asarray(r, dtype=np.float64)
-    tail = r_arr > b
-    s = np.where(tail, b + tau * (np.log(np.where(tail, r_arr, b)) - math.log(b)), 0.0)
-    out = np.where(tail, cutoff_profile(s, b), 1.0)
-    return float(out) if np.isscalar(r) else out
-
-
-def cutoff_dilated_prime(r, b: float, tau: float):
-    r_arr = np.asarray(r, dtype=np.float64)
-    tail = r_arr > b
-    r_safe = np.where(tail, r_arr, b)
-    s = b + tau * (np.log(r_safe) - math.log(b))
-    out = np.where(tail, cutoff_profile_prime(s, b) * tau / r_safe, 0.0)
-    return float(out) if np.isscalar(r) else out
-
-
 def coefficients(params: WaveguideParams, spec: TrialSpec):
     """Coefficients (A, B, C) of ``Q = A*tau + B*eps^2 - C*eps``, in closed form.
 
@@ -203,7 +135,8 @@ def certify(params: WaveguideParams, b: float | None = None) -> Certificate:
     Picks the optimal bump amplitude ``eps = C/(2B)`` (or 1 when B <= 0) and
     a tail rate at which the cutoff cost ``A*tau`` is at most a quarter of the
     gain ``C*eps - B*eps^2``, so Q is at most -3/4 of the gain; the closed-form
-    Q is then checked for sign against rounding.
+    Q is then checked for sign against rounding, and refused if it or a
+    coefficient overflows (``a`` past about 3.8e153 at ``F = d = 1``).
     """
     if not params.a > 0.0:
         raise ValueError("certification requires a positive window radius")
@@ -220,7 +153,7 @@ def certify(params: WaveguideParams, b: float | None = None) -> Certificate:
     tau = 0.5 * min(1.0, gain / (2.0 * A))
     spec = TrialSpec(a=params.a, b=b, tau=tau, eps=eps)
     q = A * tau + B * eps ** 2 - C * eps
-    if not q < 0.0:
-        raise CertificateError(f"Q = {q} is not negative: A={A}, B={B}, C={C}")
+    if not -math.inf < q < 0.0:
+        raise CertificateError(f"Q = {q} is not finite and negative: A={A}, B={B}, C={C}")
     return Certificate(spec=spec, q_value=q, coeff_A=A, coeff_B=B, coeff_C=C,
                        window=window(params))

@@ -236,9 +236,8 @@ def run(config: RunConfig, out=None) -> int:
     stream = out if out is not None else sys.stdout
     try:
         header, rows, payload = _HANDLERS[config.command](config)
-    except (transverse.SolverError, specfun.QuadratureError,
-            specfun.UnsupportedOrderError, fd2d.ConvergenceError,
-            CertificateError) as exc:
+    except (transverse.SolverError, specfun.UnsupportedOrderError,
+            fd2d.ConvergenceError, CertificateError) as exc:
         report = {"config": dataclasses.asdict(config),
                   "error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(report, indent=2), file=sys.stderr)
@@ -258,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, need_a=False):
         p.add_argument("--F", type=float, required=True, help="field intensity (>= 0)")
-        p.add_argument("--d", type=float, required=True, help="layer width (> 0)")
+        p.add_argument("--d", type=float, required=True, help="layer width, in [1e-100, 1e100]")
         p.add_argument("--a", type=float, default=0.0, required=need_a,
                        help="window radius (>= 0)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

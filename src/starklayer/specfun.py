@@ -1,4 +1,4 @@
-"""Special-function kernel: Airy pairs, Bessel zeros, and quadrature.
+"""Special-function kernel: Airy functions, Bessel zeros, and quadrature.
 
 Everything downstream (transverse spectra, analytic brackets, variational
 certificates) leans on the accuracy guarantees of this module, so the
@@ -47,11 +47,9 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "AiryPair",
     "BesselZeroTable",
     "QuadratureError",
     "UnsupportedOrderError",
-    "airy",
     "airy_grid",
     "airy_ai_zero",
     "airy_aip_zero",
@@ -61,7 +59,7 @@ __all__ = [
 ]
 
 TOLERANCES = {
-    "airy_rel": 1e-10,         # airy(): relative (envelope-relative for x<0)
+    "airy_rel": 1e-10,         # airy_grid(): relative (envelope-relative for x<0)
     "bessel_zero_abs": 1e-10,  # bessel_zero(): absolute
     "wronskian": 1e-10,        # |pi*(Ai*Bi' - Ai'*Bi) - 1|
 }
@@ -90,27 +88,6 @@ class QuadratureError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-@dataclass(frozen=True)
-class AiryPair:
-    """Values of Ai, Ai', Bi, Bi' at ``x`` in exponentially scaled form.
-
-    For ``x > 0`` the stored fields are ``Ai*e^xi``, ``Ai'*e^xi``,
-    ``Bi*e^-xi``, ``Bi'*e^-xi`` with ``scale_exp = xi = (2/3) x**1.5``;
-    for ``x <= 0`` the raw values are stored and ``scale_exp = 0``.
-    """
-
-    x: float
-    ai: float
-    aip: float
-    bi: float
-    bip: float
-    scale_exp: float
-
-    def wronskian_residual(self) -> float:
-        """``pi*(Ai*Bi' - Ai'*Bi) - 1`` formed from scaled values (exact cancellation of exponents)."""
-        return math.pi * (self.ai * self.bip - self.aip * self.bi) - 1.0
-
-
 def _clenshaw(piece, t):
     """(n, 4) sums ``sum_k c_k T_k(t)`` over the shipped table's rows ``piece``.
 
@@ -131,16 +108,18 @@ def _clenshaw(piece, t):
 
 
 def airy_grid(x):
-    """Vectorized Airy evaluation.
+    """Ai, Ai', Bi and Bi' at every point of ``x``, exponentially scaled.
 
-    Returns ``(ai, aip, bi, bip, scale_exp)`` arrays under the same scaling
-    contract as :class:`AiryPair`.  Every point is summed from the shipped
-    Chebyshev table by one Clenshaw recurrence: a unit piece for
-    ``|x| <= 8``, one far piece on each side beyond, in
-    ``t = 2 (8/|x|)**1.5 - 1``.  The region decides only the scaling applied
-    afterwards.  Values are within 2e-15 of the scaled value for ``x >= 0``
-    and of the envelope for ``x < 0``, up to ``|x| = 400``; further out the
-    long-double phase ``zeta`` rounds to about ``|zeta| * 1e-19``.
+    Returns ``(ai, aip, bi, bip, scale_exp)`` arrays of the shape of ``x``:
+    for ``x > 0`` ``Ai*e^xi``, ``Ai'*e^xi``, ``Bi*e^-xi``, ``Bi'*e^-xi`` and
+    ``xi = (2/3) x**1.5``, whose factors cancel in the Wronskian; for
+    ``x <= 0`` the raw values and 0.  Non-finite input raises ``ValueError``.
+    Each point is summed from the shipped Chebyshev table by one Clenshaw
+    recurrence: a unit piece for ``|x| <= 8``, one far piece on each side
+    beyond, in ``t = 2 (8/|x|)**1.5 - 1``.  Values are within 2e-15 of the
+    scaled value for ``x >= 0`` and of the envelope for ``x < 0``, up to
+    ``|x| = 400``; further out the long-double phase ``zeta`` rounds to about
+    ``|zeta| * 1e-19``.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -204,12 +183,6 @@ def airy_grid(x):
     bip[neg] = n * np.sin(phi)
 
     return tuple(v.reshape(shape) for v in (ai, aip, bi, bip, scale))
-
-
-def airy(x: float) -> AiryPair:
-    """Airy pair at a single point; see :class:`AiryPair` for the scaling."""
-    a, ap, b, bp, s = airy_grid(np.array([float(x)]))
-    return AiryPair(float(x), float(a[0]), float(ap[0]), float(b[0]), float(bp[0]), float(s[0]))
 
 
 def _ai_zeros(n: int):

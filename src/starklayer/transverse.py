@@ -47,6 +47,9 @@ LEVEL_REL_TOL = 1e-10          # eigenvalue location accuracy of levels()
 BOUNDARY_RESIDUAL_TOL = 1e-8   # |chi| (or |chi'|) at the endpoints, normalized
 NORM_TOL = 1e-11               # quadrature target for the L2 normalization
 
+# Widths at which the trig switch and the first 100 trig levels are normal floats.
+MIN_WIDTH, MAX_WIDTH = 1e-100, 1e100
+
 # Below F = 1e-8 * (pi/d)^3 the Airy scaling degenerates numerically and the
 # spectrum is trigonometric to 1e-8 relative anyway.
 _TRIG_SWITCH = 1e-8
@@ -73,8 +76,8 @@ class WaveguideParams:
     def __post_init__(self):
         if not (math.isfinite(self.F) and self.F >= 0.0):
             raise ValueError("field intensity F must be finite and >= 0")
-        if not (math.isfinite(self.d) and self.d > 0.0):
-            raise ValueError("layer width d must be finite and > 0")
+        if not MIN_WIDTH <= self.d <= MAX_WIDTH:
+            raise ValueError(f"layer width d must be in [{MIN_WIDTH:g}, {MAX_WIDTH:g}]")
         if not (math.isfinite(self.a) and self.a >= 0.0):
             raise ValueError("window radius a must be finite and >= 0")
 

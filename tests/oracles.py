@@ -6,9 +6,12 @@ tables, recurrences) share nothing with these routines.
 ``airy_cheb_table`` also generates the shipped table ``_airy_cheb.npy``.
 ``certificate_q`` integrates the defining integrals of the certificate's Q
 with mpmath's Airy functions and quadrature; ``bump_moments`` rebuilds the
-bump moments that ``certify`` ships as literals.  ``quadratic_form_matrix``
-is the one float64 routine: it assembles the 2-D FD matrix face by face from
-its quadratic form, independently of the Kronecker-sum assembly in ``fd2d``.
+bump moments that ``certify`` ships as literals.  Two parts are float64:
+the pieces of the certificate's trial function (``bump``, the ``cutoff_*``
+profiles), which ``certify`` no longer evaluates, and
+``quadratic_form_matrix``, which assembles the 2-D FD matrix face by face
+from its quadratic form, independently of the Kronecker-sum assembly in
+``fd2d``.
 """
 
 import functools
@@ -192,6 +195,58 @@ def bump_moments(dps=30):
             return mp.quad(lambda s: f(*_unit_bump_sq(s)) * s, [0, 0.5, 1])
         return (moment(lambda g2, dg2: g2), moment(lambda g2, dg2: g2 * g2),
                 moment(lambda g2, dg2: dg2 * dg2))
+
+
+# Float64 pieces of the certificate's trial function, for tests that integrate
+# them with ``specfun.integrate``: the bump phi(r) of radius a and the cutoff,
+# 1 on [0, b] with a quintic smoothstep decay on [b, b + 1], dilated beyond b
+# through s = b + tau*(ln r - ln b).  Each maps an array (or a scalar, as a
+# 0-d array) to an array of its shape.
+
+def bump(r, a):
+    """exp(-1/(1-((2r-a)/a)^2)) on (0, a), 0 outside: peak e^-1 at r = a/2."""
+    s = (2.0 * np.asarray(r, dtype=np.float64) - a) / a
+    inside = np.abs(s) < 1.0 - 1e-14
+    one = 1.0 - np.where(inside, s, 0.0) ** 2
+    return np.where(inside, np.exp(-1.0 / one), 0.0)
+
+
+def bump_prime(r, a):
+    s = (2.0 * np.asarray(r, dtype=np.float64) - a) / a
+    inside = np.abs(s) < 1.0 - 1e-14
+    s = np.where(inside, s, 0.0)
+    one = 1.0 - s ** 2
+    return np.where(inside, np.exp(-1.0 / one) * (-2.0 * s / one ** 2) * (2.0 / a), 0.0)
+
+
+def cutoff_profile(s, b):
+    t = np.clip(np.asarray(s, dtype=np.float64) - b, 0.0, 1.0)
+    return 1.0 - ((6.0 * t - 15.0) * t + 10.0) * t ** 3
+
+
+def cutoff_profile_prime(s, b):
+    t = np.asarray(s, dtype=np.float64) - b
+    on = (t > 0.0) & (t < 1.0)
+    t = np.where(on, t, 0.0)
+    return np.where(on, -30.0 * t ** 2 * (1.0 - t) ** 2, 0.0)
+
+
+def _dilated(r, b, tau):
+    """(tail mask, r clamped to >= b on the plateau, profile argument s)."""
+    r = np.asarray(r, dtype=np.float64)
+    tail = r > b
+    r = np.where(tail, r, b)
+    return tail, r, b + tau * (np.log(r) - np.log(b))
+
+
+def cutoff_dilated(r, b, tau):
+    tail, _, s = _dilated(r, b, tau)
+    return np.where(tail, cutoff_profile(s, b), 1.0)
+
+
+def cutoff_dilated_prime(r, b, tau):
+    tail, r, s = _dilated(r, b, tau)
+    return np.where(tail, cutoff_profile_prime(s, b) * tau / r, 0.0)
 
 
 def dd_ground_state(F, d, dps=30):

@@ -29,26 +29,26 @@ def test_trial_spec_validation():
 def test_bump_support_and_smooth_peak():
     a = 2.0
     r = np.linspace(-1.0, 3.0, 401)
-    vals = certify.bump(r, a)
+    vals = oracles.bump(r, a)
     assert np.all(vals[(r <= 0.0) | (r >= a)] == 0.0)
-    assert certify.bump(a / 2.0, a) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert certify.bump_prime(a / 2.0, a) == pytest.approx(0.0, abs=1e-14)
+    assert oracles.bump(a / 2.0, a) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert oracles.bump_prime(a / 2.0, a) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cutoff_plateau_and_decay():
     b = 4.0
-    assert certify.cutoff_profile(b - 1.0, b) == 1.0
-    assert certify.cutoff_profile(b + certify.CUTOFF_DECAY_WIDTH, b) == 0.0
-    assert certify.cutoff_dilated(b / 2.0, b, 0.3) == 1.0
-    assert certify.cutoff_dilated_prime(b / 2.0, b, 0.3) == 0.0
+    assert oracles.cutoff_profile(b - 1.0, b) == 1.0
+    assert oracles.cutoff_profile(b + certify.CUTOFF_DECAY_WIDTH, b) == 0.0
+    assert oracles.cutoff_dilated(b / 2.0, b, 0.3) == 1.0
+    assert oracles.cutoff_dilated_prime(b / 2.0, b, 0.3) == 0.0
     s = np.linspace(b, b + certify.CUTOFF_DECAY_WIDTH, 50)
-    vals = certify.cutoff_profile(s, b)
+    vals = oracles.cutoff_profile(s, b)
     assert np.all(np.diff(vals) <= 0.0)
 
 
 def test_cutoff_gradient_norm_closed_form():
     b = 4.0
-    direct = specfun.integrate(lambda s: certify.cutoff_profile_prime(s, b) ** 2,
+    direct = specfun.integrate(lambda s: oracles.cutoff_profile_prime(s, b) ** 2,
                                b, b + certify.CUTOFF_DECAY_WIDTH, 1e-11)
     assert direct == pytest.approx(CUTOFF_GRAD_NORM, rel=1e-10)
 
@@ -61,7 +61,7 @@ def test_tail_scaling_identity(tau):
     edges = [b * math.exp(j * certify.CUTOFF_DECAY_WIDTH / (tau * n_pan))
              for j in range(n_pan + 1)]
     direct = sum(
-        specfun.integrate(lambda r: certify.cutoff_dilated_prime(r, b, tau) ** 2 * r,
+        specfun.integrate(lambda r: oracles.cutoff_dilated_prime(r, b, tau) ** 2 * r,
                           lo, hi, 1e-12 / n_pan)
         for lo, hi in zip(edges[:-1], edges[1:]))
     ident = tau * CUTOFF_GRAD_NORM
@@ -133,9 +133,9 @@ def test_bump_moments_are_the_mpmath_values():
     shipped = (certify._BUMP_I2, certify._BUMP_I4, certify._BUMP_IG)
     for value, exact in zip(shipped, oracles.bump_moments(dps=30)):
         assert abs(value - float(exact)) <= 2.0 * math.ulp(value)
-    # The moments are those of the bump certify uses, at any radius.
+    # The moments are those of the trial function's bump phi(r) = g(r/a), at any radius.
     a = 0.7
-    i2 = specfun.integrate(lambda r: certify.bump(r, a) ** 2 * r, 0.0, a, 1e-14)
+    i2 = specfun.integrate(lambda r: oracles.bump(r, a) ** 2 * r, 0.0, a, 1e-14)
     assert i2 == pytest.approx(a * a * certify._BUMP_I2, rel=1e-10)
 
 
@@ -153,7 +153,7 @@ def test_coefficient_C_closed_form_field_free():
     p = WaveguideParams(F=0.0, d=PI, a=2.0)
     spec = certify.TrialSpec(a=2.0, b=4.0, tau=0.5, eps=0.1)
     _, _, C = certify.coefficients(p, spec)
-    i_phi2 = specfun.integrate(lambda r: certify.bump(r, 2.0) ** 2 * r, 0.0, 2.0, 1e-13)
+    i_phi2 = specfun.integrate(lambda r: oracles.bump(r, 2.0) ** 2 * r, 0.0, 2.0, 1e-13)
     # The cross term of Q is 2*eps * 2*pi * i_phi2 * Z with, for psi = 1 - z/d,
     #   Z = int_0^d (chi_1' psi' + (F z - lam) chi_1 psi) dz
     #     = [chi_1' psi]_0^d - int_0^d (chi_1'' - (F z - lam) chi_1) psi dz = -chi_1'(0),
@@ -219,6 +219,16 @@ def test_cold_certify_makes_no_quadrature(monkeypatch):
 def test_certify_accepts_field_free_configuration():
     cert = certify.certify(WaveguideParams(F=0.0, d=PI, a=1.0))
     assert cert.q_value < 0.0
+
+
+def test_certify_refuses_an_infinite_q():
+    # C grows as a^2 and overflows near a = 3.78e153 at F = d = 1, where Q
+    # would be -inf; just below, the certificate is finite.
+    below = certify.certify(WaveguideParams(F=1.0, d=1.0, a=3.7e153))
+    assert below.valid and math.isfinite(below.q_value)
+    for a in (3.9e153, 2e154, 1e300):
+        with pytest.raises(certify.CertificateError, match="not finite"):
+            certify.certify(WaveguideParams(F=1.0, d=1.0, a=a))
 
 
 def test_certify_requires_window():

@@ -183,6 +183,26 @@ def test_exit_code_solver_failure(capsys):
     assert report["error"] == "UnsupportedOrderError"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("a", ["2e154", "1e300"])
+def test_certify_infinite_q_is_solver_failure(capsys, fmt, a):
+    # a^2 overflows: the certificate would read Q = -inf (and, in JSON, the
+    # invalid literal -Infinity).
+    assert cli.main(["certify", "--F", "1", "--d", "1", "--a", a, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "CertificateError"
+
+
+@pytest.mark.parametrize("d", ["1e-103", "1e106"])
+@pytest.mark.parametrize("F", ["0", "1"])
+def test_layer_width_outside_range_is_validation_error(capsys, F, d):
+    assert cli.main(["levels", "--F", F, "--d", d, "--bc", "dirichlet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: layer width d must be in [1e-100, 1e+100]\n"
+
+
 def test_exit_code_bad_flag():
     assert cli.main(["levels", "--F", "1", "--d", "1", "--bc", "dirichlet",
                      "--no-such-flag"]) == 2

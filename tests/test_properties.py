@@ -9,9 +9,15 @@ cap).  Certificates take the dimensionless field F*d^3 from {0} and
 log-uniformly from [1e-9, 1e8], and a/d log-uniformly from [3e-3, 30].
 Bessel zeros are read in random order from up to three orders m <= 64, at
 indices k <= 300, so one table is filled both from the shipped prefix
-(k <= 100) and from scipy.
+(k <= 100) and from scipy.  CLI invocations take the benchmark's ranges:
+d in {1, pi}, F = 0 or log-uniform over [1e-2, 1e4] for ``levels`` and over
+[1e-2, 1] for the other commands, ``bracket`` radii log-uniform over
+[0.5, 100] (past 82.8 at d = pi it exits 1), ``threshold`` indices 1..30,
+``certify`` radii log-uniform over [0.05, 20].
 """
 
+import contextlib
+import io
 import math
 from datetime import timedelta
 
@@ -22,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
-from starklayer import bracket, certify, specfun, transverse
+from starklayer import bracket, certify, cli, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
 
 DD = BoundaryType.DIRICHLET_DIRICHLET
@@ -146,3 +152,54 @@ def test_airy_grid_matches_mpmath(x):
             scales = [env, env_prime, env, env_prime]
         errors = [float(abs(g - w) / s) for g, w, s in zip(got, want, scales)]
     assert max(errors) <= 2e-15
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_CLI_WIDTHS = st.sampled_from(["1", repr(math.pi)])
+_CLI_FIELDS = st.just(0.0) | _log_uniform(1e-2, 1.0)
+_FORMATS = st.sampled_from(["csv", "json"])
+
+
+@st.composite
+def _cli_argv(draw, command):
+    """One invocation of ``command``, as the argv strings a user would type."""
+    argv = [command, "--d", draw(_CLI_WIDTHS), "--format", draw(_FORMATS)]
+    if command == "levels":
+        argv += ["--F", repr(draw(st.just(0.0) | _log_uniform(1e-2, 1e4))),
+                 "--bc", draw(st.sampled_from(["dirichlet", "neumann"])),
+                 "--count", str(draw(st.integers(1, 20)))]
+    elif command == "bracket":
+        argv += ["--F", "0", "--a", repr(draw(_log_uniform(0.5, 100.0)))]
+    elif command == "threshold":
+        argv += ["--F", repr(draw(_CLI_FIELDS)), "--i", str(draw(st.integers(1, 30)))]
+    elif command == "certify":
+        argv += ["--F", repr(draw(_CLI_FIELDS)), "--a", repr(draw(_log_uniform(0.05, 20.0)))]
+    else:  # figure
+        a_min = draw(st.floats(0.5, 2.0))
+        argv += ["--F", repr(draw(_CLI_FIELDS)), "--a-min", repr(a_min),
+                 "--a-max", repr(a_min + draw(st.floats(0.5, 10.0))),
+                 "--steps", str(draw(st.integers(2, 50))),
+                 "--i-max", str(draw(st.integers(1, 3)))]
+    return argv
+
+
+def _cli_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["levels", "bracket", "threshold", "certify", "figure"])
+@PROPERTY
+@given(data=st.data())
+def test_cli_output_does_not_depend_on_cache_state(command, data):
+    # A run with cold eigenvalue caches and one with warm caches print the
+    # same bytes and exit alike.
+    argv = data.draw(_cli_argv(command))
+    transverse.ground_level.cache_clear()
+    transverse._coefficients.cache_clear()
+    assert _cli_main(argv) == _cli_main(argv)

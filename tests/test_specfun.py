@@ -12,7 +12,7 @@ import pytest
 import scipy.special
 from scipy.special import jv
 
-from starklayer import certify, specfun, transverse
+from starklayer import specfun, transverse
 from starklayer.transverse import WaveguideParams
 
 import oracles
@@ -26,24 +26,27 @@ J01 = 2.404825557695773
 J11 = 3.831705970207512
 
 
+def _airy_at(x):
+    """``airy_grid`` at one point, as floats ``(ai, aip, bi, bip, scale_exp)``."""
+    return tuple(float(v[0]) for v in specfun.airy_grid(np.array([x])))
+
+
 def test_airy_at_zero_frozen():
-    p = specfun.airy(0.0)
-    assert p.ai == pytest.approx(AI_AT_0, rel=1e-14)
-    assert p.bi == pytest.approx(BI_AT_0, rel=1e-14)
-    assert p.scale_exp == 0.0
+    ai, _, bi, _, scale = _airy_at(0.0)
+    assert ai == pytest.approx(AI_AT_0, rel=1e-14)
+    assert bi == pytest.approx(BI_AT_0, rel=1e-14)
+    assert scale == 0.0
 
 
 def test_airy_matches_series_oracle_both_sides_of_seam():
     for x in [-8.4, -8.0, -7.6, -5.0, -2.0, -0.3, 0.0, 0.7, 3.0, 6.5, 7.9, 8.0, 8.3, 9.5]:
-        got = specfun.airy(x)
+        got = _airy_at(x)[:4]
         ai, aip, bi, bip = oracles.airy_series(x, dps=60)
         if x > 0:
             e = mp.e ** (mp.mpf(2) / 3 * mp.mpf(x) ** mp.mpf(1.5))
             ai, aip, bi, bip = ai * e, aip * e, bi / e, bip / e
-        assert got.ai == pytest.approx(float(ai), rel=1e-11)
-        assert got.aip == pytest.approx(float(aip), rel=1e-11)
-        assert got.bi == pytest.approx(float(bi), rel=1e-11)
-        assert got.bip == pytest.approx(float(bip), rel=1e-11)
+        for value, want in zip(got, (ai, aip, bi, bip)):
+            assert value == pytest.approx(float(want), rel=1e-11)
 
 
 def test_airy_negative_axis_unscaled_and_bounded():
@@ -55,11 +58,11 @@ def test_airy_negative_axis_unscaled_and_bounded():
 
 def test_airy_large_arguments_stay_representable():
     for x in [50.0, 1e3, 1e4]:
-        p = specfun.airy(x)
-        assert all(map(math.isfinite, (p.ai, p.aip, p.bi, p.bip)))
-        assert p.scale_exp == pytest.approx(2.0 / 3.0 * x ** 1.5, rel=1e-14)
+        ai, aip, bi, bip, scale = _airy_at(x)
+        assert all(map(math.isfinite, (ai, aip, bi, bip)))
+        assert scale == pytest.approx(2.0 / 3.0 * x ** 1.5, rel=1e-14)
         # scaled product forms keep the Wronskian exact
-        assert abs(p.wronskian_residual()) < 1e-12
+        assert abs(math.pi * (ai * bip - aip * bi) - 1.0) < 1e-12
 
 
 def test_wronskian_identity_dense_grid():
@@ -82,12 +85,12 @@ def test_first_ai_zero_against_series_bisection():
     root = float(oracles.first_airy_zero(dps=50))
     assert root == pytest.approx(FIRST_AI_ZERO, abs=1e-13)
     assert specfun.airy_ai_zero(1) == pytest.approx(root, abs=1e-10)
-    assert abs(specfun.airy(-specfun.airy_ai_zero(1)).ai) <= 1e-10
+    assert abs(_airy_at(-specfun.airy_ai_zero(1))[0]) <= 1e-10
 
 
 def test_airy_prime_zero_is_extremum_of_ai():
     t = specfun.airy_aip_zero(1)
-    assert abs(specfun.airy(-t).aip) <= 1e-10
+    assert abs(_airy_at(-t)[1]) <= 1e-10
     assert 1.0 < t < 1.1  # classical value 1.01879...
 
 
@@ -102,11 +105,11 @@ def test_airy_zeros_match_mpmath_first_hundred():
             zero(0)
 
 
-def _fresh_python(probe):
-    """Stdout of ``probe`` run by a new interpreter that imports this checkout."""
+def _fresh_python(probe, *paths):
+    """Stdout of ``probe`` in a new interpreter that imports this checkout and ``paths``."""
     src = os.path.dirname(os.path.dirname(specfun.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, *paths, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True).stdout
 
@@ -153,17 +156,32 @@ def test_double_double_module_is_gone():
 
 
 def test_uncalled_entry_points_are_gone():
-    probe = ("import starklayer\nfrom starklayer import cli, specfun, transverse\n"
-             "public = ('bessel_j', 'emit_figure', 'chi1_second_derivative')\n"
-             "private = ('_airy_asym_pos', '_airy_asym_neg', '_AIRY_U')\n"
-             "print([(m.__name__, n) for m in (starklayer, specfun, cli, transverse)\n"
-             "       for n in public + (private if m is specfun else ()) if hasattr(m, n)])\n")
+    public = ("bessel_j", "emit_figure", "chi1_second_derivative", "airy", "AiryPair")
+    per_module = {"specfun": ("_airy_asym_pos", "_airy_asym_neg", "_AIRY_U"),
+                  "certify": ("bump", "bump_prime", "cutoff_profile", "cutoff_profile_prime",
+                              "cutoff_dilated", "cutoff_dilated_prime", "_smoothstep",
+                              "_smoothstep_prime", "np")}
+    probe = ("import starklayer\nfrom starklayer import certify, cli, specfun, transverse\n"
+             f"public, per_module = {public!r}, {per_module!r}\n"
+             "print([(m.__name__, n) for m in (starklayer, specfun, cli, transverse, certify)\n"
+             "       for n in public + per_module.get(m.__name__.rpartition('.')[2], ())\n"
+             "       if hasattr(m, n)])\n")
     assert _fresh_python(probe) == "[]\n"
+
+
+def test_benchmark_tracer_installs():
+    # The benchmark's tracer wraps its functions by name and reads the zero
+    # table and the order cap; a deleted name would end a traced run.
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    probe = ("import spans\nspans.install(spans.Tracer())\nfrom starklayer import specfun\n"
+             "print(specfun.MAX_BESSEL_ORDER, callable(specfun._DEFAULT_ZEROS.get))\n")
+    assert _fresh_python(probe, perfbench) == "64 True\n"
 
 
 def test_airy_rejects_nonfinite():
     with pytest.raises(ValueError):
-        specfun.airy(math.nan)
+        specfun.airy_grid(np.array([math.nan]))
 
 
 # The next four tests pin scipy's J_m, which the mode-matching solve of the
@@ -379,14 +397,14 @@ def test_integrate_matches_recursive_reference_on_certify_integrands(F, d, a):
     b, scale = 2.0 * a, max(a * a, 1e-8)
 
     def phi(r):
-        return certify.bump(r, a)
+        return oracles.bump(r, a)
 
     cases = [
         (lambda r: phi(r) ** 2 * r, 0.0, a, 1e-11 * scale),
-        (lambda r: (2.0 * phi(r) * certify.bump_prime(r, a)) ** 2 * r, 0.0, a,
+        (lambda r: (2.0 * phi(r) * oracles.bump_prime(r, a)) ** 2 * r, 0.0, a,
          1e-11 * max(1.0, scale)),
         (lambda r: phi(r) ** 4 * r, 0.0, a, 1e-11 * scale),
-        (lambda s: certify.cutoff_profile_prime(s, b) ** 2, b, b + 1.0, 1e-11),
+        (lambda s: oracles.cutoff_profile_prime(s, b) ** 2, b, b + 1.0, 1e-11),
         (lambda z: transverse.chi(level, p, z), 0.0, d, 1e-11 * max(1.0, d)),
         (lambda z: (F * z - level.lam) * transverse.chi(level, p, z), 0.0, d,
          1e-11 * max(1.0, abs(level.lam) * d)),

@@ -1,6 +1,7 @@
 """Transverse Stark spectra: closed forms, oracle agreement, invariants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,21 @@ def test_params_validation():
         WaveguideParams(F=0.0, d=0.0)
     with pytest.raises(ValueError):
         WaveguideParams(F=0.0, d=1.0, a=-2.0)
+
+
+def test_layer_width_range():
+    # Inside [1e-100, 1e100] the trig switch and the first 100 levels are
+    # finite normal floats; outside, the width is refused with the range.
+    for d, lam_100 in ((1e-100, (100 * PI * 1e100) ** 2), (1e100, (100 * PI * 1e-100) ** 2)):
+        p = WaveguideParams(F=0.0, d=d)
+        switch = transverse._TRIG_SWITCH * (PI / d) ** 3
+        assert sys.float_info.min <= switch < math.inf and transverse._use_trig(p)
+        lam = [lvl.lam for lvl in transverse.levels(p, DD, 100)]
+        assert lam[-1] == pytest.approx(lam_100, rel=1e-14)
+        assert all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in lam)
+    for d in (math.nextafter(1e-100, 0.0), math.nextafter(1e100, math.inf), 1e-103, 1e106):
+        with pytest.raises(ValueError, match=r"\[1e-100, 1e\+100\]"):
+            WaveguideParams(F=0.0, d=d)
 
 
 def test_field_free_closed_forms():
