@@ -67,7 +67,7 @@ TOLERANCES = {
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ZERO_INDEX = 1000
 
-MAX_CALL_POINTS = 1 << 15   # abscissae per kernel or integrand call (airy_grid: about 5 MB)
+MAX_CALL_POINTS = 1 << 15   # caps integrate() only; a transverse norm sends airy_grid up to 262,146
 
 _CUT = 8                  # unit table pieces on [-cut, cut], one far piece each side
 _CHEB_SCALED_FROM = 2.0   # unit pieces from here up hold scaled values

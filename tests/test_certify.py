@@ -203,7 +203,7 @@ def test_certify_airy_call_budget(monkeypatch, F, d, a):
 
 def test_cold_certify_makes_no_quadrature(monkeypatch):
     transverse.ground_level.cache_clear()
-    transverse._coefficients.cache_clear()
+    transverse._scale.cache_clear()
     calls = [0]
     quadrature = specfun.integrate
 

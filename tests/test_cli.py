@@ -332,7 +332,7 @@ def test_output_does_not_depend_on_cache_state(capsys):
     levels_argv = ["levels", "--F", "3000", "--d", "1", "--bc", "dirichlet", "--count", "20"]
     certify_argv = ["certify", "--F", "1", "--d", "1", "--a", "1", "--format", "json"]
     transverse.ground_level.cache_clear()
-    transverse._coefficients.cache_clear()
+    transverse._scale.cache_clear()
     printed = []
     for argv in (levels_argv, certify_argv, certify_argv, levels_argv):
         assert cli.main(argv) == 0
@@ -345,3 +345,28 @@ def test_output_does_not_depend_on_cache_state(capsys):
                             check=True, capture_output=True, text=True).stdout
              for argv in (levels_argv, certify_argv)]
     assert printed == [fresh[0], fresh[1], fresh[1], fresh[0]]
+
+
+def _readme_commands():
+    """Each ``starklayer ...`` line of README.md's ``sh`` blocks, as an argv."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    commands, in_sh = [], False
+    with open(readme, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("```"):
+                in_sh = line == "```sh"
+            elif in_sh and line.startswith("starklayer "):
+                commands.append(line.split()[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # A renamed option or command must not silently break the README; figure
+    # --out writes its file into tmp_path, and capsys keeps stdout quiet.
+    commands = _readme_commands()
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert (tmp_path / "curves.csv").is_file()

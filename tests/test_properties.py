@@ -7,6 +7,8 @@ drawn log-uniformly over [1e-2, 1e3], the window radius log-uniformly over
 [0.05, 20] (for the certified count, uniformly below 0.95 of the order-64
 cap).  Certificates take the dimensionless field F*d^3 from {0} and
 log-uniformly from [1e-9, 1e8], and a/d log-uniformly from [3e-3, 30].
+Eigenfunctions take levels n <= 10 at F = 0, below the trig switch, or
+log-uniform over [1e-2, 1e6].
 Bessel zeros are read in random order from up to three orders m <= 64, at
 indices k <= 300, so one table is filled both from the shipped prefix
 (k <= 100) and from scipy.  CLI invocations take the benchmark's ranges:
@@ -72,6 +74,43 @@ def test_mixed_and_dirichlet_levels_interlace(F, d):
     nd = _lams(F, d, ND, 2)
     dd = _lams(F, d, DD, 1)
     assert nd[0] < dd[0] < nd[1]
+
+
+@st.composite
+def _fields_in_every_regime(draw):
+    """(F, d): F = 0, below the trig switch at d, or log-uniform over [1e-2, 1e6]."""
+    d = draw(WIDTHS)
+    switch = transverse._TRIG_SWITCH * (math.pi / d) ** 3
+    F = draw(st.just(0.0)
+             | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda u: u * switch)
+             | st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e))
+    return F, d
+
+
+@PROPERTY
+@given(Fd=_fields_in_every_regime(), bc=WALLS, n=st.integers(1, 10))
+@example(Fd=(0.0, 0.5), bc=DD, n=10)
+@example(Fd=(2e-9, 4.0), bc=ND, n=7)
+@example(Fd=(1e-2, 0.5), bc=DD, n=1)
+@example(Fd=(1e6, 4.0), bc=ND, n=10)
+def test_eigenfunction_sign_and_norm_in_every_regime(Fd, bc, n):
+    # chi'(d) < 0 fixes the sign of every level, and the ground state is then
+    # positive: on the allowed side of the turning point, and not negative
+    # beyond it, where it may underflow to 0.
+    F, d = Fd
+    p = WaveguideParams(F=F, d=d)
+    level = transverse.levels(p, bc, n)[-1]
+    slope = transverse.chi_prime(level, p, d)
+    # Past xi_d = 745 the slope -e^{-xi_d}/pi underflows, and keeps its sign.
+    assert slope < 0.0 or (slope == 0.0 and math.copysign(1.0, slope) < 0.0)
+    turn = [level.lam / F] if F > 0.0 and level.lam / F < d else []
+    norm = specfun.integrate(lambda z: transverse.chi(level, p, z) ** 2, 0.0, d, 1e-11,
+                             breakpoints=turn)
+    assert abs(norm - 1.0) <= 1e-9
+    if n == 1:
+        z = np.linspace(0.0, d, 201)[1:-1]
+        chi = transverse.chi(level, p, z)
+        assert np.all(chi[z < min(turn, default=d)] > 0.0) and np.all(chi >= 0.0)
 
 
 @PROPERTY
@@ -201,5 +240,5 @@ def test_cli_output_does_not_depend_on_cache_state(command, data):
     # same bytes and exit alike.
     argv = data.draw(_cli_argv(command))
     transverse.ground_level.cache_clear()
-    transverse._coefficients.cache_clear()
+    transverse._scale.cache_clear()
     assert _cli_main(argv) == _cli_main(argv)

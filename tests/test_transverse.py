@@ -219,10 +219,23 @@ def test_levels_count_validation():
 
 
 def test_bracketing_failure_reports_interval(monkeypatch):
-    monkeypatch.setattr(transverse, "_det_mantissa", lambda params, bc, lam: np.ones_like(lam))
+    monkeypatch.setattr(transverse, "_far_wall", lambda params, lam, z, derivative: np.ones_like(lam))
     monkeypatch.setattr(transverse, "_gap_estimate", lambda *a: 8.0)
     with pytest.raises(transverse.SolverError, match="scanned interval"):
         transverse._scan_roots(WaveguideParams(F=1.0, d=1.0), DD, 1)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-3])
+def test_boundary_residual_is_enforced(s):
+    # The same weak-field problem in units of s.  Its tenth ND level is off by
+    # about 1e-7 relative, and chi'(0) d^(3/2) = 1.3e-7 shows it; the ground
+    # level meets the wall to 1e-12 (1e-12 d^(-3/2) = 3e-8 unscaled at s = 1e-3).
+    p = WaveguideParams(F=3.2e-7 / s ** 3, d=s)
+    ground, *_, excited = transverse.levels(p, ND, 10)
+    with pytest.raises(transverse.SolverError,
+                       match=rf"level 10 .* by 1\.25e-07 > 1e-08 \(F={p.F}, d={p.d}\)"):
+        transverse.chi(excited, p, 0.5 * s)
+    assert abs(transverse.chi_prime(ground, p, 0.0)) * s ** 1.5 <= transverse.BOUNDARY_RESIDUAL_TOL
 
 
 @pytest.fixture
@@ -280,9 +293,16 @@ def test_ground_level_solved_once_per_field_and_width(monkeypatch):
 
 
 def _masked_chi_reference(params, level, z, derivative):
-    """The Airy eigenfunction with the zero-coefficient lanes masked after exp."""
+    """The Airy eigenfunction ``alpha*Ai + beta*Bi``, its zero-coefficient lanes masked after exp.
+
+    The coefficients are built from the Airy values at the far wall and scaled
+    to unit norm by the solver's factor.
+    """
     w = params.F ** (1.0 / 3.0)
-    alpha, beta = transverse._coefficients(params.F, params.d, level)
+    scale = transverse._scale(params.F, params.d, level)
+    ai_d, _, bi_d, _, xi_d = specfun.airy_grid(np.array([w * params.d - level.lam / w ** 2]))
+    alpha = float(bi_d[0]) * scale                              # Bi(zeta_d) / e^{xi_d}
+    beta = -float(ai_d[0]) * math.exp(-2.0 * xi_d[0]) * scale   # -Ai(zeta_d) / e^{xi_d}
     ai, aip, bi, bip, xi = specfun.airy_grid(w * z - level.lam / w ** 2)
     da, db = (aip, bip) if derivative else (ai, bi)
     c2 = beta * db
@@ -303,13 +323,18 @@ def test_chi_warns_no_overflow_and_matches_masked_reference(F, d, bc):
     (lvl,) = transverse.levels(p, bc, 1)
     assert not transverse._use_trig(p)
     for deriv, fn in ((False, transverse.chi), (True, transverse.chi_prime)):
-        assert np.array_equal(fn(lvl, p, z), _masked_chi_reference(p, lvl, z, deriv))
+        got, ref = fn(lvl, p, z), _masked_chi_reference(p, lvl, z, deriv)
+        # At a wall chi or chi' is a rounding of 0, which the two formulas round
+        # differently, so the walls get the envelope bound; subnormal values
+        # (F = 1e8, 2e7) are held to the smallest normal double.
+        np.testing.assert_allclose(got[1:-1], ref[1:-1], rtol=1e-13, atol=np.finfo(float).tiny)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 def _reference_roots(params, bc, count):
     """The scan one grid point at a time, each bracket refined alone by brentq."""
     def det(t):
-        return float(transverse._det_mantissa(params, bc, t))
+        return float(transverse._far_wall(params, t, 0.0, bc is ND))
 
     floor = 0.5 * max((PI / (2.0 * params.d)) ** 2, 0.5 * params.F ** (2.0 / 3.0))
     roots, lam, f_prev = [], 0.0, det(0.0)
