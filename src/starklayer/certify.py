@@ -151,6 +151,8 @@ def certify(params: WaveguideParams, b: float | None = None) -> Certificate:
     if gain <= 0.0:
         raise CertificateError(f"no positive gain at eps={eps}: A={A}, B={B}, C={C}")
     tau = 0.5 * min(1.0, gain / (2.0 * A))
+    if not tau > 0.0:
+        raise CertificateError(f"tail rate underflows: gain/(2A) = {gain}/{2.0 * A} rounds to 0")
     spec = TrialSpec(a=params.a, b=b, tau=tau, eps=eps)
     q = A * tau + B * eps ** 2 - C * eps
     if not -math.inf < q < 0.0:

@@ -32,14 +32,18 @@ zero refines it, and the vector follows by fast diagonalization (Lynch, Rice &
 Thomas, Numer. Math. 6, 1964).
 ``CylOperator.spectral_floor``, the lowest eigenvalue of ``A_z``, is a floor
 of every assembled spectrum (``A_r`` is positive semidefinite, and Cauchy
-interlacing covers the window submatrix).  scipy is imported on first use,
-so importing this module does not load ``scipy.sparse``, and no solve loads
-``scipy.sparse.linalg``.
+interlacing covers the window submatrix).
+
+No solve imports scipy.  Each factor is diagonalized by ``numpy.linalg.eigh``
+on its dense form, memoized on the factor's entries; the radial factor is
+built in units of ``h_r`` (``A_r = A_r_hat / h_r^2``), so one solve serves
+every radius.  Residuals come from the 5-point stencil on the grid.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -132,12 +136,12 @@ class WindowBC:
 class CylOperator:
     """Assembled symmetric operator with its grid bookkeeping.
 
-    ``matrix`` is the Kronecker sum of the (diagonal, off-diagonal) factors
+    The operator is the Kronecker sum of the (diagonal, off-diagonal) factors
     ``radial`` and ``vertical`` on the nodes of the ``(nr, nz)`` mask
-    ``active``, numbered row-major (z fastest).
+    ``active``, numbered row-major (z fastest).  ``matrix`` is a reference
+    CSR form for tests and tools, built on first read; no solve reads it.
     """
 
-    matrix: scipy.sparse.csr_array
     grid: CylGrid
     bc: WindowBC
     params: WaveguideParams
@@ -148,7 +152,42 @@ class CylOperator:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return int(np.count_nonzero(self.active))
+
+    @functools.cached_property
+    def matrix(self) -> scipy.sparse.csr_array:
+        """The operator as a CSR matrix, built (and ``scipy.sparse`` imported) on first read."""
+        import scipy.sparse
+        (r_diag, r_off), (z_diag, z_off) = self.radial, self.vertical
+        nz = len(z_diag)
+        z_band = np.tile(np.append(z_off, 0.0), len(r_diag))[:-1]   # no z coupling across r rows
+        r_band = np.repeat(r_off, nz)
+        full = scipy.sparse.diags_array(
+            [r_band, z_band, (r_diag[:, None] + z_diag[None, :]).ravel(), z_band, r_band],
+            offsets=[-nz, -1, 0, 1, nz], format="csr")
+        keep = np.flatnonzero(self.active)
+        return full if len(keep) == full.shape[0] else full[keep][:, keep]
+
+
+@functools.lru_cache(maxsize=32)
+def _factor_eigh(diag: bytes, off: bytes):
+    """Read-only ``numpy.linalg.eigh`` of the dense tridiagonal with these float64 entries."""
+    d, e = np.frombuffer(diag), np.frombuffer(off)
+    pairs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    for x in pairs:
+        x.flags.writeable = False
+    return pairs
+
+
+def _radial_factor(nr: int, bc: WindowBC):
+    """``h_r^2 A_r``, which depends on (nr, m, wall) alone: radii in units of h_r."""
+    face = np.arange(nr + 1.0)                  # face radii, the axis face is 0
+    r = np.arange(nr) + 0.5
+    diag = (face[:-1] + face[1:]) / r + bc.m ** 2 / r ** 2
+    diag[-1] -= face[-1] / r[-1]
+    if bc.kind is not BCKind.INNER_NEUMANN:     # half-cell gradient to the wall value 0
+        diag[-1] += 2.0 * nr / r[-1]
+    return diag, -face[1:-1] / np.sqrt(r[:-1] * r[1:])
 
 
 def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperator:
@@ -168,16 +207,10 @@ def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperato
             raise ValueError("inner-cylinder problems require r_max == a")
 
     nr, nz = grid.nr, grid.nz
-    h_r, h_z = grid.h_r, grid.h_z
-    r = grid.r_nodes
+    h_z = grid.h_z
     z = grid.z_nodes[:nz]
-
-    face = np.arange(nr + 1) * h_r               # face radii, the axis face is 0
-    r_diag = (face[:-1] + face[1:]) / (h_r * h_r * r) + bc.m ** 2 / r ** 2
-    r_diag[-1] -= face[-1] / (h_r * h_r * r[-1])
-    if bc.kind is not BCKind.INNER_NEUMANN:     # half-cell gradient to the wall value 0
-        r_diag[-1] += 2.0 * grid.r_max / (h_r * h_r * r[-1])
-    r_off = -face[1:-1] / (h_r * h_r * np.sqrt(r[:-1] * r[1:]))
+    h2 = grid.h_r ** 2
+    r_diag, r_off = (x / h2 for x in _radial_factor(nr, bc))
 
     wz = np.ones(nz)
     wz[0] = 0.5                                  # trapezoid mass on the Neumann row
@@ -188,20 +221,10 @@ def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperato
 
     active = np.ones((nr, nz), dtype=bool)
     if bc.kind is BCKind.TRUNCATED_FULL:
-        active[r > params.a, 0] = False         # bottom outside the window: Dirichlet
+        active[grid.r_nodes > params.a, 0] = False   # bottom outside the window: Dirichlet
 
-    import scipy.sparse
-    from scipy.linalg import eigvalsh_tridiagonal
-    z_band = np.tile(np.append(z_off, 0.0), nr)[:-1]   # no z coupling across radial rows
-    r_band = np.repeat(r_off, nz)
-    matrix = scipy.sparse.diags_array(
-        [r_band, z_band, (r_diag[:, None] + z_diag[None, :]).ravel(), z_band, r_band],
-        offsets=[-nz, -1, 0, 1, nz], format="csr")
-    if bc.kind is BCKind.TRUNCATED_FULL:
-        keep = np.flatnonzero(active)
-        matrix = matrix[keep][:, keep]
-    floor = float(eigvalsh_tridiagonal(z_diag, z_off, select="i", select_range=(0, 0))[0])
-    return CylOperator(matrix=matrix, grid=grid, bc=bc, params=params, spectral_floor=floor,
+    floor = float(_factor_eigh(z_diag.tobytes(), z_off.tobytes())[0][0])
+    return CylOperator(grid=grid, bc=bc, params=params, spectral_floor=floor,
                        radial=(r_diag, r_off), vertical=(z_diag, z_off), active=active)
 
 
@@ -228,7 +251,7 @@ def splu(a):
 
 
 class _Slicer:
-    """Spectrum slicing of ``op.matrix`` through its tensor structure.
+    """Spectrum slicing of the operator through its tensor structure.
 
     The nodes split into W, the kept window bottom nodes (a prefix of the
     radial index; none for the inner problems), and the rest, whose matrix
@@ -239,13 +262,12 @@ class _Slicer:
     """
 
     def __init__(self, op: CylOperator):
-        from scipy.linalg import eigh_tridiagonal
         r_diag, r_off = op.radial
         z_diag, z_off = op.vertical
         self.top = top = int(op.bc.kind is BCKind.TRUNCATED_FULL)   # first z row of T
-        mu, self.q_r = eigh_tridiagonal(r_diag, r_off)
-        nu, self.q_z = eigh_tridiagonal(z_diag[top:], z_off[top:])
-        self.poles = mu[:, None] + nu[None, :]
+        mu_hat, self.q_r = _factor_eigh(*(x.tobytes() for x in _radial_factor(op.grid.nr, op.bc)))
+        nu, self.q_z = _factor_eigh(z_diag[top:].tobytes(), z_off[top:].tobytes())
+        self.poles = (mu_hat / op.grid.h_r ** 2)[:, None] + nu[None, :]
         nw = int(np.count_nonzero(op.active[:, 0])) if top else 0
         self.q_w = self.q_r[:nw]
         a_r = np.diag(r_diag) + np.diag(r_off, 1) + np.diag(r_off, -1)
@@ -383,6 +405,21 @@ class _Slicer:
         return x_w, self.q_r @ x_hat @ self.q_z.T
 
 
+def _apply(op: CylOperator, x: np.ndarray) -> np.ndarray:
+    """5-point stencil of ``A_r (x) I + I (x) A_z`` on grid blocks ``x``, shape ``(..., nr, nz)``.
+
+    If ``x`` is zero off ``op.active``, the result on ``op.active`` is the
+    principal submatrix times ``x``; off it, it is not used.
+    """
+    (r_diag, r_off), (z_diag, z_off) = op.radial, op.vertical
+    y = (r_diag[:, None] + z_diag) * x
+    y[..., 1:, :] += r_off[:, None] * x[..., :-1, :]
+    y[..., :-1, :] += r_off[:, None] * x[..., 1:, :]
+    y[..., 1:] += z_off * x[..., :-1]
+    y[..., :-1] += z_off * x[..., 1:]
+    return y
+
+
 def count_below(op: CylOperator, lam: float) -> int:
     """Number of eigenvalues of ``op.matrix`` below ``lam``, with no solve.
 
@@ -412,9 +449,9 @@ def lowest_eigs(op: CylOperator, k: int) -> EigResult:
     if not 1 <= k <= 10:
         raise ValueError("k must be in 1..10")
     values, blocks = _Slicer(op).lowest(k, op.spectral_floor)
-    vectors = blocks[:, op.active].T
-    vectors /= np.linalg.norm(vectors, axis=0)
-    residuals = [float(r) for r in np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)]
+    blocks /= np.linalg.norm(blocks, axis=(1, 2))[:, None, None]
+    misfit = _apply(op, blocks) - values[:, None, None] * blocks
+    residuals = [float(r) for r in np.linalg.norm(misfit[:, op.active], axis=1)]
     if max(residuals) > EIG_RESIDUAL_TOL:
         best = int(np.argmin(residuals))
         raise ConvergenceError(

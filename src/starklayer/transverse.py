@@ -271,9 +271,12 @@ def _l2_norm(params: WaveguideParams, lam: float) -> float:
     """L2 norm over [0, d] of the far-wall solution at ``lam``, by refining composite Simpson.
 
     The panel count doubles until two rounds agree to ``NORM_TOL``; past
-    131072 panels the last round's value stands.
+    131072 panels the last round's value stands.  For F > 0 it stops 40 Airy
+    lengths ``F^(-1/3)`` past the turning point ``lam/F``, where ``|y| < e^-168``.
     """
     d = params.d
+    if params.F > 0.0:
+        d = min(d, lam / params.F + 40.0 / params.F ** (1.0 / 3.0))
 
     def sq_on(npanels):
         z = np.linspace(0.0, d, 2 * npanels + 1)

@@ -194,6 +194,17 @@ def test_certify_infinite_q_is_solver_failure(capsys, fmt, a):
     assert json.loads(captured.err)["error"] == "CertificateError"
 
 
+def test_certify_underflowing_tail_rate_is_solver_failure(capsys):
+    # The gain C^2/(4B) scales as a^4: at a = 1e-81 it is subnormal and
+    # gain/(2A) rounds to 0.  A valid input, so exit 1, not 2.
+    assert cli.main(["certify", "--F", "1", "--d", "1", "--a", "1e-81"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["error"] == "CertificateError"
+    assert report["message"].startswith("tail rate underflows: gain/(2A)")
+
+
 @pytest.mark.parametrize("d", ["1e-103", "1e106"])
 @pytest.mark.parametrize("F", ["0", "1"])
 def test_layer_width_outside_range_is_validation_error(capsys, F, d):

@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 import oracles
-import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
@@ -306,13 +305,9 @@ def test_deterministic_eigensolver():
 def _poles(op, count):
     """The lowest sums of radial and vertical factor eigenvalues of the op's Kronecker part.
 
-    ``eigh_tridiagonal`` with vectors, as the solver calls it, so that the sums
-    are the solver's poles to the last bit.
+    Read from the solver's slicer, so that they are its poles to the last bit.
     """
-    top = int(op.bc.kind is TF)
-    mu = scipy.linalg.eigh_tridiagonal(*op.radial)[0]
-    nu = scipy.linalg.eigh_tridiagonal(op.vertical[0][top:], op.vertical[1][top:])[0]
-    return np.sort(np.add.outer(mu, nu), axis=None)[:count]
+    return np.sort(fd2d._Slicer(op).poles, axis=None)[:count]
 
 
 @PROPERTY
@@ -365,9 +360,9 @@ def test_window_without_a_kept_bottom_node():
 
 
 @pytest.mark.parametrize("problem", ["window", "inner-neumann"])
-def test_solve2d_loads_no_sparse_linalg(problem):
-    # A fresh process: ARPACK and SuperLU live in scipy.sparse.linalg, which
-    # the 2-D solve no longer needs.
+def test_solve2d_loads_no_scipy(problem):
+    # A fresh process: the factors are diagonalized by numpy and the residual
+    # is a stencil, so the 2-D solve needs no scipy module at all.
     argv = ["solve2d", "--F", "1", "--d", "3.141592653589793", "--a", "3",
             "--problem", problem, "--nr", "32", "--nz", "32", "--k", "2"]
     src = os.path.dirname(os.path.dirname(fd2d.__file__))
@@ -375,6 +370,45 @@ def test_solve2d_loads_no_sparse_linalg(problem):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
                          check=True, capture_output=True, text=True)
-    loaded = set(out.stdout.split())
-    assert "scipy.sparse" in loaded
-    assert not any(name.startswith("scipy.sparse.linalg") for name in loaded)
+    assert out.stdout.split() == []
+
+
+def test_factor_solves_are_memoized_across_radii():
+    # A work counter: five window radii share the scale-free radial factor
+    # h_r^2 A_r and the vertical factor with and without its bottom row, so a
+    # cold memo misses exactly three times.
+    radii = np.linspace(1.0, 5.0, 5)
+
+    def solve(a):
+        op = fd2d.assemble(WaveguideParams(F=1.0, d=PI, a=a), fd2d.CylGrid(64, 64, 8.0 * a, PI),
+                           fd2d.WindowBC(TF))
+        return fd2d.lowest_eigs(op, 2)
+
+    fd2d._factor_eigh.cache_clear()
+    warm = [solve(a) for a in radii]
+    assert fd2d._factor_eigh.cache_info().misses == 3
+    for a, res in zip(radii, warm):
+        fd2d._factor_eigh.cache_clear()
+        cold = solve(a)
+        assert cold.values == res.values and cold.residuals == res.residuals
+
+
+def test_memoized_factor_eigenpairs_are_read_only():
+    diag, off = np.full(8, 2.0), np.full(7, -1.0)
+    for x in fd2d._factor_eigh(diag.tobytes(), off.tobytes()):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", list(fd2d.BCKind))
+def test_stencil_product_matches_the_matrix(kind):
+    p = WaveguideParams(F=1.0, d=PI, a=3.0)
+    op = fd2d.assemble(p, fd2d.CylGrid(16, 12, 12.0 if kind is TF else 3.0, PI),
+                       fd2d.WindowBC(kind, 1))
+    u = np.random.default_rng(27).standard_normal(op.dimension)
+    x = np.zeros(op.active.shape)
+    x[op.active] = u
+    want = op.matrix @ u
+    got = fd2d._apply(op, x)[op.active]
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)

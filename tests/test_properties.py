@@ -6,7 +6,9 @@ every piece boundary of the Chebyshev table and the doubles beside it; F is
 drawn log-uniformly over [1e-2, 1e3], the window radius log-uniformly over
 [0.05, 20] (for the certified count, uniformly below 0.95 of the order-64
 cap).  Certificates take the dimensionless field F*d^3 from {0} and
-log-uniformly from [1e-9, 1e8], and a/d log-uniformly from [3e-3, 30].
+log-uniformly from [1e-9, 1e8], and a/d log-uniformly from [3e-3, 30];
+strong-field certificates take F*d^3 log-uniformly from [1e8, 1e30] and a
+log-uniformly from [0.1, 10].
 Eigenfunctions take levels n <= 10 at F = 0, below the trig switch, or
 log-uniform over [1e-2, 1e6].
 Bessel zeros are read in random order from up to three orders m <= 64, at
@@ -145,6 +147,20 @@ def test_certificate_is_negative_and_matches_its_decomposition(u, d, r):
     spec = cert.spec
     decomposition = cert.coeff_A * spec.tau + cert.coeff_B * spec.eps ** 2 - cert.coeff_C * spec.eps
     assert abs(cert.q_value - decomposition) <= 1e-6 * abs(cert.q_value)
+
+
+@PROPERTY
+@given(u=st.floats(8.0, 30.0).map(lambda e: 10.0 ** e), d=WIDTHS,
+       a=st.floats(math.log(0.1), math.log(10.0)).map(math.exp))
+@example(u=1e18, d=1.0, a=1.0)
+def test_strong_field_certificate_has_the_airy_limit_slope(u, d, a):
+    # For F d^3 >= 1e8, chi_1'(0) = F^(1/2) up to e^-(2/3)(F d^3)^(1/2): the
+    # boundary term C is 4 pi a^2 I_2 F^(1/2), independent of the code.
+    F = u / d ** 3
+    cert = certify.certify(WaveguideParams(F=F, d=d, a=a))
+    assert cert.valid
+    limit = 4.0 * math.pi * a * a * certify._BUMP_I2 * math.sqrt(F)
+    assert abs(cert.coeff_C / limit - 1.0) <= 1e-13
 
 
 @PROPERTY
