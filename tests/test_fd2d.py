@@ -360,7 +360,7 @@ def test_window_without_a_kept_bottom_node():
 
 
 @pytest.mark.parametrize("problem", ["window", "inner-neumann"])
-def test_solve2d_loads_no_scipy(problem):
+def test_solve2d_loads_no_sparse_linalg(problem):
     # A fresh process: the factors are diagonalized by numpy and the residual
     # is a stencil, so the 2-D solve needs no scipy module at all.
     argv = ["solve2d", "--F", "1", "--d", "3.141592653589793", "--a", "3",
