@@ -65,39 +65,48 @@ def window(params: WaveguideParams) -> SpectralWindow:
     return SpectralWindow(lower=lower, upper=upper)
 
 
-def dirichlet_disc_levels(params: WaveguideParams, below: float,
-                          n_max: int, m_max: int, k_max: int) -> list[BracketEstimate]:
-    """All inner-cylinder levels strictly below ``below`` within the index caps, ascending.
+def dirichlet_disc_levels(params: WaveguideParams, below: float) -> list[BracketEstimate]:
+    """Every inner-cylinder level strictly below ``below``, ascending.
 
-    Each is an upper bound for an eigenvalue of the windowed layer.  A zero
-    window radius has no inner cylinder: returns an empty list.
+    Each is an upper bound for an eigenvalue of the windowed layer; a zero
+    radius has none.  As ``lambda_ND,n+1 > lambda_DD,n >= (n pi/d)^2``, the
+    first ``floor(d sqrt(below)/pi) + 1`` mixed levels suffice (the ground
+    level alone up to the edge).  Refuses a non-finite threshold or one past
+    100 mixed levels (``ValueError``), and one that needs an angular order
+    past ``MAX_BESSEL_ORDER`` (``UnsupportedOrderError``).
     """
+    if not math.isfinite(below):
+        raise ValueError(f"threshold below must be finite, got {below!r}")
     if params.a <= 0.0:
         return []
-    if n_max < 1 or m_max < 0 or k_max < 1:
-        raise ValueError("index caps must be positive (m_max >= 0)")
-    # The ground level alone is the window's lower edge: take it from the cache.
-    nd = (levels(params, BoundaryType.NEUMANN_DIRICHLET, n_max) if n_max > 1
-          else [ground_level(params.F, params.d, BoundaryType.NEUMANN_DIRICHLET)])
+    if below <= window(params).upper:
+        nd = [ground_level(params.F, params.d, BoundaryType.NEUMANN_DIRICHLET)]
+    else:
+        count = math.floor(params.d * math.sqrt(below) / math.pi) + 1
+        if count > 100:
+            raise ValueError(f"threshold below={below!r} needs {count} transverse levels; "
+                             "at most 100 are solved")
+        nd = levels(params, BoundaryType.NEUMANN_DIRICHLET, count)
     a = params.a
+    # The ground level has the most room: past the order cap the list would be cut short.
+    if specfun.bessel_zero(specfun.MAX_BESSEL_ORDER, 1) < a * math.sqrt(max(below - nd[0].lam, 0.0)):
+        raise specfun.UnsupportedOrderError(
+            f"window radius a={a} requires angular orders beyond {specfun.MAX_BESSEL_ORDER}")
     out = []
     for lvl in nd:
         room = below - lvl.lam
         if room <= 0.0:
             break
         xmax = a * math.sqrt(room)
-        for m in range(0, m_max + 1):
-            if specfun.bessel_zero(m, 1) >= xmax:
-                break
-            for k in range(1, k_max + 1):
+        m = 0
+        while (x := specfun.bessel_zero(m, 1)) < xmax:
+            k = 1
+            while x < xmax:
+                out.append(BracketEstimate(n=lvl.n, m=m, k=k, lam=(x / a) ** 2 + lvl.lam,
+                                           multiplicity=1 if m == 0 else 2))
+                k += 1
                 x = specfun.bessel_zero(m, k)
-                if x >= xmax:
-                    break
-                out.append(BracketEstimate(
-                    n=lvl.n, m=m, k=k,
-                    lam=(x / a) ** 2 + lvl.lam,
-                    multiplicity=1 if m == 0 else 2,
-                ))
+            m += 1
     out.sort(key=lambda e: (e.lam, e.m, e.k, e.n))
     return out
 
@@ -105,18 +114,7 @@ def dirichlet_disc_levels(params: WaveguideParams, below: float,
 def count_certified(params: WaveguideParams) -> int:
     """Certified lower bound (with multiplicity) on the number of eigenvalues
     below the essential spectrum."""
-    if params.a <= 0.0:
-        return 0
-    win = window(params)
-    # Interlacing lambda_ND,2 > lambda_DD,1 = edge: only n = 1 lies below it.
-    # Past the order cap the count would be silently truncated, so refuse.
-    if specfun.bessel_zero(specfun.MAX_BESSEL_ORDER, 1) < params.a * math.sqrt(win.gap):
-        raise specfun.UnsupportedOrderError(
-            f"window radius a={params.a} requires angular orders beyond "
-            f"{specfun.MAX_BESSEL_ORDER}")
-    ests = dirichlet_disc_levels(params, win.upper, 1, specfun.MAX_BESSEL_ORDER,
-                                 specfun.MAX_BESSEL_ZERO_INDEX)
-    return sum(e.multiplicity for e in ests)
+    return sum(e.multiplicity for e in dirichlet_disc_levels(params, window(params).upper))
 
 
 def sorted_bessel_zeros(count: int) -> list[float]:
@@ -183,8 +181,8 @@ class FigureCurves:
 def figure_curves(params: WaveguideParams, a_min: float, a_max: float,
                   steps: int, i_max: int = 3) -> FigureCurves:
     """Rows ``(a, (x(i)/a)^2 + lower ... , edge)`` over a uniform radius sweep."""
-    if not (0.0 < a_min < a_max):
-        raise ValueError("need 0 < a_min < a_max")
+    if not (0.0 < a_min < a_max < math.inf):
+        raise ValueError("need 0 < a_min < a_max < inf")
     steps = int(steps)
     if steps < 2:
         raise ValueError("steps must be >= 2")

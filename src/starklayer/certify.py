@@ -129,19 +129,19 @@ def q_functional(params: WaveguideParams, spec: TrialSpec) -> float:
     return A * spec.tau + B * spec.eps ** 2 - C * spec.eps
 
 
-def certify(params: WaveguideParams, b: float | None = None) -> Certificate:
+def certify(params: WaveguideParams) -> Certificate:
     """Produce a negative-Q certificate for the given configuration.
 
-    Picks the optimal bump amplitude ``eps = C/(2B)`` (or 1 when B <= 0) and
-    a tail rate at which the cutoff cost ``A*tau`` is at most a quarter of the
-    gain ``C*eps - B*eps^2``, so Q is at most -3/4 of the gain; the closed-form
-    Q is then checked for sign against rounding, and refused if it or a
+    The plateau radius is ``b = 2a`` (Q does not depend on it).  Picks the
+    optimal bump amplitude ``eps = C/(2B)`` (or 1 when B <= 0) and a tail
+    rate at which the cutoff cost ``A*tau`` is at most a quarter of the gain
+    ``C*eps - B*eps^2``, so Q is at most -3/4 of the gain; the closed-form Q
+    is then checked for sign against rounding, and refused if it or a
     coefficient overflows (``a`` past about 3.8e153 at ``F = d = 1``).
     """
     if not params.a > 0.0:
         raise ValueError("certification requires a positive window radius")
-    if b is None:
-        b = 2.0 * params.a
+    b = 2.0 * params.a
     A, B, C = coefficients(params, TrialSpec(a=params.a, b=b, tau=1.0, eps=0.0))
     if not (A > 0.0 and C > 0.0):
         raise CertificateError(f"coefficient signs wrong: A={A}, B={B}, C={C}")

@@ -123,9 +123,7 @@ def _cmd_bracket(config: RunConfig):
     below = config.options.get("below")
     if below is None:
         below = win.upper
-    ests = bracket.dirichlet_disc_levels(
-        params, below, config.options["n_max"], config.options["m_max"],
-        config.options["k_max"])
+    ests = bracket.dirichlet_disc_levels(params, below)
     if params.a <= 0.0:
         print("note: window radius a = 0 has no inner cylinder; no bracket levels",
               file=sys.stderr)
@@ -156,7 +154,7 @@ def _cmd_threshold(config: RunConfig):
 
 def _cmd_certify(config: RunConfig):
     params = config.params()
-    cert = _run_certify(params, b=config.options.get("b"))
+    cert = _run_certify(params)
     header = ["q_value", "valid", "A", "B", "C", "tau", "eps", "b",
               "window_lower", "window_upper"]
     rows = [(cert.q_value, cert.valid, cert.coeff_A, cert.coeff_B, cert.coeff_C,
@@ -182,10 +180,8 @@ def _cmd_solve2d(config: RunConfig):
     m = config.options["m"]
     win = bracket.window(params)
     window_problem = kind is fd2d.BCKind.TRUNCATED_FULL
-    r_max = config.options["r_max"]
-    if r_max is None:
-        r_max = 8.0 * params.a if window_problem else params.a
-    grid = fd2d.CylGrid(config.options["nr"], config.options["nz"], r_max, params.d)
+    grid = fd2d.CylGrid(config.options["nr"], config.options["nz"],
+                        8.0 * params.a if window_problem else params.a, params.d)
     res = fd2d.lowest_eigs(fd2d.assemble(params, grid, fd2d.WindowBC(kind, m)),
                            config.options["k"])
     header = ["k", "lambda", "residual"]
@@ -275,10 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--below", type=float, default=None,
                    help="threshold (default: essential-spectrum edge)")
-    p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--m-max", dest="m_max", type=int,
-                   default=specfun.MAX_BESSEL_ORDER)
-    p.add_argument("--k-max", dest="k_max", type=int, default=100)
 
     p = sub.add_parser("threshold", help="sufficient window radii a*_i")
     common(p)
@@ -286,14 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="negative-Q bound-state certificate")
     common(p, need_a=True)
-    p.add_argument("--b", type=float, default=None, help="plateau radius (default 2a)")
 
     p = sub.add_parser("solve2d", help="2-D finite-difference eigensolver")
     common(p, need_a=True)
     p.add_argument("--problem", choices=sorted(_PROBLEM_NAMES), required=True)
     p.add_argument("--nr", type=int, default=64)
     p.add_argument("--nz", type=int, default=64)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m", type=int, default=0)
 

@@ -84,7 +84,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CylGrid:
-    """Tensor grid: nr radial cells on (0, r_max], nz vertical cells on [0, d]."""
+    """Tensor grid: nr radial cells on (0, r_max], nz vertical cells on [0, d].
+
+    Spacings lie in [1e-154, 1e154], where their squares and inverse squares
+    are finite and nonzero.
+    """
 
     nr: int
     nz: int
@@ -94,8 +98,9 @@ class CylGrid:
     def __post_init__(self):
         if self.nr < 8 or self.nz < 8:
             raise ValueError("grid needs nr >= 8 and nz >= 8")
-        if not (self.r_max > 0.0 and self.d > 0.0):
-            raise ValueError("grid extents must be positive")
+        for name, h in (("h_r", self.h_r), ("h_z", self.h_z)):
+            if not 1e-154 <= h <= 1e154:
+                raise ValueError(f"grid spacing {name}={h!r} outside [1e-154, 1e154]")
 
     @property
     def h_r(self) -> float:
@@ -471,12 +476,12 @@ class WindowResult:
     error_estimates: list[float]
 
 
-def window_ground_state(params: WaveguideParams, r_max: float | None = None,
-                        nr: int = 128, nz: int = 128, k: int = 1) -> WindowResult:
+def window_ground_state(params: WaveguideParams, nr: int = 128, nz: int = 128,
+                        k: int = 1) -> WindowResult:
     """Lowest truncated-window eigenvalues with Richardson error estimates.
 
-    Dirichlet truncation at ``r_max`` (default ``8a``) bounds the true
-    eigenvalues from above, tightening monotonically as ``r_max`` grows.
+    Dirichlet truncation at ``r_max = 8a`` bounds the true eigenvalues from
+    above (they tighten monotonically as ``r_max`` grows).
     The error estimate is ``|lambda_h - lambda_2h| / 3`` from a half-resolution
     companion run, which assumes O(h^2) convergence.  The observed order on
     the window problem is 1.1-1.2 (the corner where the Neumann window meets
@@ -484,8 +489,7 @@ def window_ground_state(params: WaveguideParams, r_max: float | None = None,
     """
     if params.a <= 0.0:
         raise ValueError("window problem requires a > 0")
-    if r_max is None:
-        r_max = 8.0 * params.a
+    r_max = 8.0 * params.a
     bc = WindowBC(BCKind.TRUNCATED_FULL)
     fine = lowest_eigs(assemble(params, CylGrid(nr, nz, r_max, params.d), bc), k)
     coarse = lowest_eigs(assemble(params, CylGrid(nr // 2, nz // 2, r_max, params.d), bc), k)

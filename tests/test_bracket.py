@@ -43,10 +43,14 @@ def test_window_monotone_in_field():
     assert all(a < b for a, b in zip(uppers, uppers[1:]))
 
 
+def _capped(ests, n_max, m_max, k_max):
+    return [e for e in ests if e.n <= n_max and e.m <= m_max and e.k <= k_max]
+
+
 def test_disc_levels_large_window_has_bound_state():
     p = WaveguideParams(F=0.0, d=PI, a=10.0)
     win = bracket.window(p)
-    ests = bracket.dirichlet_disc_levels(p, win.upper, n_max=3, m_max=20, k_max=50)
+    ests = _capped(bracket.dirichlet_disc_levels(p, win.upper), 3, 20, 50)
     assert ests
     assert ests[0].lam == pytest.approx(SMALLEST_DISC_LEVEL_A10, rel=1e-12)
     assert ests[0].n == 1 and ests[0].m == 0 and ests[0].k == 1
@@ -57,17 +61,17 @@ def test_disc_levels_large_window_has_bound_state():
 def test_disc_levels_small_window_empty():
     p = WaveguideParams(F=0.0, d=PI, a=1.0)
     win = bracket.window(p)
-    assert bracket.dirichlet_disc_levels(p, win.upper, 3, 20, 50) == []
+    assert _capped(bracket.dirichlet_disc_levels(p, win.upper), 3, 20, 50) == []
 
 
 def test_disc_levels_zero_radius_degenerate():
     p = WaveguideParams(F=0.0, d=PI, a=0.0)
-    assert bracket.dirichlet_disc_levels(p, 1.0, 3, 20, 50) == []
+    assert _capped(bracket.dirichlet_disc_levels(p, 1.0), 3, 20, 50) == []
 
 
 def test_disc_levels_multiplicity():
     p = WaveguideParams(F=0.0, d=PI, a=10.0)
-    ests = bracket.dirichlet_disc_levels(p, 1.0, 3, 20, 50)
+    ests = _capped(bracket.dirichlet_disc_levels(p, 1.0), 3, 20, 50)
     for e in ests:
         assert e.multiplicity == (1 if e.m == 0 else 2)
     assert any(e.m >= 1 for e in ests)
@@ -75,13 +79,57 @@ def test_disc_levels_multiplicity():
 
 def test_disc_levels_monotone_in_indices():
     p = WaveguideParams(F=0.0, d=PI, a=12.0)
-    ests = bracket.dirichlet_disc_levels(p, 1.0, 2, 20, 50)
+    ests = _capped(bracket.dirichlet_disc_levels(p, 1.0), 2, 20, 50)
     by_mk = {(e.m, e.k): e.lam for e in ests if e.n == 1}
     for (m, k), lam in by_mk.items():
         if (m, k + 1) in by_mk:
             assert lam < by_mk[(m, k + 1)]
         if (m + 1, k) in by_mk:
             assert lam < by_mk[(m + 1, k)]
+
+
+@pytest.mark.parametrize("below", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_disc_levels_refuse_a_non_finite_threshold(a, below):
+    with pytest.raises(ValueError, match="finite"):
+        bracket.dirichlet_disc_levels(WaveguideParams(F=0.0, d=1.0, a=a), below)
+
+
+def _bracket_cli(capsys, *flags):
+    code = cli.main(["bracket", "--F", "0", "--d", "1", *flags])
+    return code, capsys.readouterr()
+
+
+def test_bracket_lists_every_transverse_level_below_the_threshold(capsys):
+    # lambda_ND,n = (n - 1/2)^2 pi^2 at F = 0, d = 1: levels n = 1..8 lie below
+    # 600 (lambda_ND,8 = 555.2, lambda_ND,9 = 713.1).
+    code, captured = _bracket_cli(capsys, "--a", "1", "--below", "600")
+    assert code == 0
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    by_n = {n: sum(1 for row in rows if row[0] == str(n)) for n in range(1, 10)}
+    assert (by_n[7], by_n[8], by_n[9]) == (22, 5, 0)
+    for n, m, k, lam, _ in rows:
+        x = jn_zeros(int(m), int(k))[-1]
+        assert float(lam) == pytest.approx(x ** 2 + ((int(n) - 0.5) * PI) ** 2, rel=1e-13)
+        assert float(lam) < 600.0
+
+
+def test_bracket_refuses_a_threshold_past_the_order_cap(capsys):
+    # Levels of orders 65..90 lie below 100 at a = 10 (j_{90,1} < 10 sqrt(100 - pi^2/4)).
+    code, captured = _bracket_cli(capsys, "--a", "10", "--below", "100")
+    assert code == 1
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["error"] == "UnsupportedOrderError"
+    assert report["message"] == "window radius a=10.0 requires angular orders beyond 64"
+
+
+def test_bracket_refuses_a_threshold_past_100_transverse_levels(capsys):
+    code, captured = _bracket_cli(capsys, "--a", "1", "--below", "1e6")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: threshold below=1000000.0 needs 319 transverse levels; "
+                            "at most 100 are solved\n")
 
 
 def test_count_vanishing_window():
@@ -217,3 +265,6 @@ def test_figure_curves_validation():
         bracket.figure_curves(p, 2.0, 1.0, 10)
     with pytest.raises(ValueError):
         bracket.figure_curves(p, 1.0, 2.0, 1)
+    for a_max in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            bracket.figure_curves(p, 1.0, a_max, 3)

@@ -137,17 +137,52 @@ def test_solve2d_window_below_edge_flag():
     assert float(parts[1]) < 1.0
 
 
-@pytest.mark.parametrize("problem, r_max", [("inner-dirichlet", "5"), ("inner-neumann", "5"),
-                                            ("window", "0"), ("inner-dirichlet", "0")])
-def test_solve2d_rejects_r_max_the_problem_cannot_take(capsys, problem, r_max):
-    # An inner problem is solved on r <= a and a grid needs r_max > 0: neither
-    # may be replaced by a default in silence.
-    code = cli.main(["solve2d", "--F", "1", "--d", "1", "--a", "1", "--problem", problem,
-                     "--r-max", r_max, "--nr", "8", "--nz", "8"])
+@pytest.mark.parametrize("argv, message", [
+    (["solve2d", "--F", "0", "--d", "1", "--a", "1e200", "--problem", "window"],
+     "error: grid spacing h_r=1.25e+199 outside [1e-154, 1e154]\n"),
+    (["solve2d", "--F", "0", "--d", "1", "--a", "1e-200", "--problem", "window"],
+     "error: grid spacing h_r=1.25e-201 outside [1e-154, 1e154]\n"),
+], ids=["huge", "tiny"])
+def test_solve2d_refuses_a_grid_spacing_out_of_range(capsys, argv, message):
+    # h_r^2 overflows (an OverflowError traceback) or 1/h_r^2 does (a LAPACK
+    # failure): the range is refused up front, by name.
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "--F", "0", "--d", "1", "--a", "1", "--below", "nan"],
+    ["bracket", "--F", "0", "--d", "1", "--a", "1", "--below", "inf"],
+    ["bracket", "--F", "0", "--d", "1", "--a", "0", "--below=-inf"],
+    ["figure", "--F", "0", "--d", "1", "--a-min", "1", "--a-max", "inf", "--steps", "3"],
+    ["figure", "--F", "0", "--d", "1", "--a-min", "1", "--a-max", "nan", "--steps", "3"],
+], ids=["bracket-nan", "bracket-inf", "bracket-a0", "figure-inf", "figure-nan"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_threshold_or_radius_is_validation_error(capsys, argv, fmt):
+    # Accepted, a non-finite value prints rows of nan and JSON with the invalid
+    # literal NaN.
+    assert cli.main(argv + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "--F", "0", "--d", "1", "--a", "10", "--n-max", "3"],
+    ["bracket", "--F", "0", "--d", "1", "--a", "10", "--m-max", "3"],
+    ["bracket", "--F", "0", "--d", "1", "--a", "10", "--k-max", "3"],
+    ["certify", "--F", "0", "--d", "1", "--a", "1", "--b", "3"],
+    ["solve2d", "--F", "0", "--d", "1", "--a", "1", "--problem", "window", "--r-max", "8"],
+], ids=["n-max", "m-max", "k-max", "b", "r-max"])
+def test_removed_options_are_refused(capsys, argv):
+    # The index caps cut the bracket list short, and the plateau and
+    # truncation radii are fixed at 2a and 8a (a for the inner problems).
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 def test_byte_identical_reruns():
@@ -314,8 +349,7 @@ _SUBPACKAGES = {"scipy.special", "scipy.linalg", "scipy.sparse", "scipy.optimize
     (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3"], set()),
     (["certify", "--F", "1", "--d", "1", "--a", "1"], set()),
     (["bracket", "--F", "0", "--d", PI_STR, "--a", "10"], set()),
-    (["bracket", "--F", "0", "--d", "1", "--a", "10", "--k-max", "150", "--below", "2000"],
-     {"scipy.special"}),
+    (["bracket", "--F", "0", "--d", "1", "--a", "1", "--below", "600"], set()),
     (["threshold", "--F", "0", "--d", PI_STR, "--i", "3"], set()),
     (["figure", "--F", "0.01", "--d", "1", "--a-min", "0.5", "--a-max", "2",
       "--steps", "5"], set()),
@@ -323,7 +357,7 @@ _SUBPACKAGES = {"scipy.special", "scipy.linalg", "scipy.sparse", "scipy.optimize
       "--method", "fd", "--nodes", "200"], {"scipy.linalg"}),
     (["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--count", "3",
       "--method", "asymptotic-strong"], {"scipy.special"}),
-], ids=["import", "levels", "certify", "bracket", "bracket-miss", "threshold", "figure",
+], ids=["import", "levels", "certify", "bracket", "bracket-below", "threshold", "figure",
         "levels-fd", "levels-strong"])
 def test_entry_point_loads_only_the_scipy_it_calls(argv, expected):
     src = os.path.dirname(os.path.dirname(cli.__file__))

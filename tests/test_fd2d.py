@@ -69,6 +69,19 @@ def test_assemble_validation():
         fd2d.WindowBC(ID, m=-1)
 
 
+@pytest.mark.parametrize("r_max, d", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                                      (0.0, 1.0), (8e155, 1.0), (8e-156, 1.0), (1.0, 8e-156)])
+def test_grid_refuses_extents_and_spacings_out_of_range(r_max, d):
+    with pytest.raises(ValueError, match="outside \\[1e-154, 1e154\\]"):
+        fd2d.CylGrid(8, 8, r_max, d)
+
+
+def test_grid_spacing_range_keeps_squares_and_inverse_squares_finite():
+    for h in (1e-154, 1e154):
+        grid = fd2d.CylGrid(8, 8, 8 * h, 1.0)
+        assert 0.0 < grid.h_r ** 2 < math.inf and 0.0 < grid.h_r ** -2 < math.inf
+
+
 @pytest.mark.parametrize("kind,dirichlet_wall", [(ID, True), (IN, False)])
 def test_discrete_tensor_separability(kind, dirichlet_wall):
     """Inner-cylinder 2-D spectra are exact sums of radial and vertical FD modes."""
@@ -131,8 +144,8 @@ def test_bracket_levels_match_fd2d_inner_dirichlet():
     """Analytic disc levels and the 2-D solver compute the same spectrum."""
     p = WaveguideParams(F=1.0, d=PI, a=3.0)
     win = bracket.window(p)
-    ests = [e for e in bracket.dirichlet_disc_levels(p, win.upper + 2.0, 3, 0, 5)
-            if e.m == 0][:2]
+    ests = [e for e in bracket.dirichlet_disc_levels(p, win.upper + 2.0)
+            if e.n <= 3 and e.m == 0 and e.k <= 5][:2]
     op = fd2d.assemble(p, fd2d.CylGrid(96, 96, 3.0, PI), fd2d.WindowBC(ID))
     got = fd2d.lowest_eigs(op, 2)
     for est, val in zip(ests, got.values):

@@ -5,7 +5,8 @@ the same points; Airy arguments are drawn uniformly over [-8.5, 8.5], plus
 every piece boundary of the Chebyshev table and the doubles beside it; F is
 drawn log-uniformly over [1e-2, 1e3], the window radius log-uniformly over
 [0.05, 20] (for the certified count, uniformly below 0.95 of the order-64
-cap).  Certificates take the dimensionless field F*d^3 from {0} and
+cap; for the bracket list, thresholds up to that cap or to 99 mixed levels).
+Certificates take the dimensionless field F*d^3 from {0} and
 log-uniformly from [1e-9, 1e8], and a/d log-uniformly from [3e-3, 30];
 strong-field certificates take F*d^3 log-uniformly from [1e8, 1e30] and a
 log-uniformly from [0.1, 10].
@@ -21,6 +22,7 @@ d in {1, pi}, F = 0 or log-uniform over [1e-2, 1e4] for ``levels`` and over
 """
 
 import contextlib
+import functools
 import io
 import math
 from datetime import timedelta
@@ -134,6 +136,35 @@ def test_count_certified_nondecreasing_in_radius(F, d, u, v):
     small, large = sorted((0.95 * u * a_max, 0.95 * v * a_max))
     assert (bracket.count_certified(WaveguideParams(F=F, d=d, a=small))
             <= bracket.count_certified(WaveguideParams(F=F, d=d, a=large)))
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_zeros(m):
+    # j_{64,1} = 71.68 bounds every zero below the order cap: J_0 has 23 below it.
+    return jn_zeros(m, 24)
+
+
+@PROPERTY
+@given(F=FIELDS_WITH_ZERO, d=WIDTHS, a=RADII, u=st.floats(-0.1, 1.0))
+def test_bracket_lists_every_level_below_the_threshold(F, d, a, u):
+    # Independently of bracket: the first 100 mixed levels and scipy's zeros of
+    # every order to 64.  Thresholds run from just below lambda_ND,1 to where
+    # the order cap or the 100 levels stop bracket.
+    p = WaveguideParams(F=F, d=d, a=a)
+    nd = [lvl.lam for lvl in transverse.levels(p, ND, 100)]
+    j64 = _scipy_zeros(specfun.MAX_BESSEL_ORDER)[0]
+    top = min(nd[0] + (0.99 * j64 / a) ** 2, (99.0 * math.pi / d) ** 2)
+    below = nd[0] + u * (top - nd[0])
+    got = {(e.n, e.m, e.k): e for e in bracket.dirichlet_disc_levels(p, below)}
+    want = {(n, m, k): (x / a) ** 2 + lam
+            for n, lam in enumerate(nd, start=1)
+            for m in range(specfun.MAX_BESSEL_ORDER + 1)
+            for k, x in enumerate(_scipy_zeros(m), start=1)
+            if (x / a) ** 2 + lam < below}
+    assert set(got) == set(want)
+    for key, e in got.items():
+        assert e.lam == pytest.approx(want[key], rel=1e-9)
+        assert e.multiplicity == (1 if key[1] == 0 else 2)
 
 
 @PROPERTY
