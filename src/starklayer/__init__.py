@@ -8,7 +8,6 @@ axisymmetric finite-difference eigensolver.
 """
 
 from .specfun import (
-    BesselZeroTable,
     QuadratureError,
     UnsupportedOrderError,
     airy_ai_zero,

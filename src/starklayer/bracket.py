@@ -9,9 +9,10 @@ spectrum edge certifies one eigenvalue (two for angular order m >= 1).
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -88,8 +89,9 @@ def dirichlet_disc_levels(params: WaveguideParams, below: float) -> list[Bracket
                              "at most 100 are solved")
         nd = levels(params, BoundaryType.NEUMANN_DIRICHLET, count)
     a = params.a
+    zeros = specfun.merged_bessel_zeros()
     # The ground level has the most room: past the order cap the list would be cut short.
-    if specfun.bessel_zero(specfun.MAX_BESSEL_ORDER, 1) < a * math.sqrt(max(below - nd[0].lam, 0.0)):
+    if zeros[-1][0] < a * math.sqrt(max(below - nd[0].lam, 0.0)):
         raise specfun.UnsupportedOrderError(
             f"window radius a={a} requires angular orders beyond {specfun.MAX_BESSEL_ORDER}")
     out = []
@@ -97,16 +99,9 @@ def dirichlet_disc_levels(params: WaveguideParams, below: float) -> list[Bracket
         room = below - lvl.lam
         if room <= 0.0:
             break
-        xmax = a * math.sqrt(room)
-        m = 0
-        while (x := specfun.bessel_zero(m, 1)) < xmax:
-            k = 1
-            while x < xmax:
-                out.append(BracketEstimate(n=lvl.n, m=m, k=k, lam=(x / a) ** 2 + lvl.lam,
-                                           multiplicity=1 if m == 0 else 2))
-                k += 1
-                x = specfun.bessel_zero(m, k)
-            m += 1
+        below_room = zeros[:bisect_left(zeros, a * math.sqrt(room), key=itemgetter(0))]
+        out += [BracketEstimate(n=lvl.n, m=m, k=k, lam=(x / a) ** 2 + lvl.lam,
+                                multiplicity=1 if m == 0 else 2) for x, m, k in below_room]
     out.sort(key=lambda e: (e.lam, e.m, e.k, e.n))
     return out
 
@@ -120,26 +115,19 @@ def count_certified(params: WaveguideParams) -> int:
 def sorted_bessel_zeros(count: int) -> list[float]:
     """First ``count`` positive zeros of all ``J_m`` merged and sorted ascending.
 
-    Ties (none exist analytically) resolve to the smaller order.
+    A prefix of ``specfun.merged_bessel_zeros``, so ties (none exist
+    analytically) go to the smaller order.  A count past its last zero,
+    ``j_{64,1}`` (the 638th), needs higher orders: ``UnsupportedOrderError``.
     """
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    heap = [(specfun.bessel_zero(0, 1), 0, 1)]
-    zeros = []
-    while True:
-        x, m, k = heapq.heappop(heap)
-        zeros.append(x)
-        if len(zeros) == count:
-            return zeros
-        heapq.heappush(heap, (specfun.bessel_zero(m, k + 1), m, k + 1))
-        if k == 1:
-            # j_{m,1} < j_{m+1,1}: order m+1 cannot come earlier than this.
-            if m == specfun.MAX_BESSEL_ORDER:
-                raise specfun.UnsupportedOrderError(
-                    f"sorted zero list of length {count} requires orders beyond "
-                    f"{specfun.MAX_BESSEL_ORDER}")
-            heapq.heappush(heap, (specfun.bessel_zero(m + 1, 1), m + 1, 1))
+    zeros = specfun.merged_bessel_zeros()
+    if count > len(zeros):
+        raise specfun.UnsupportedOrderError(
+            f"sorted zero list of length {count} requires orders beyond "
+            f"{specfun.MAX_BESSEL_ORDER}")
+    return [x for x, _, _ in zeros[:count]]
 
 
 def sufficient_radius(params: WaveguideParams, i: int) -> float:
@@ -180,7 +168,10 @@ class FigureCurves:
 
 def figure_curves(params: WaveguideParams, a_min: float, a_max: float,
                   steps: int, i_max: int = 3) -> FigureCurves:
-    """Rows ``(a, (x(i)/a)^2 + lower ... , edge)`` over a uniform radius sweep."""
+    """Rows ``(a, (x(i)/a)^2 + lower ... , edge)`` over a uniform radius sweep.
+
+    Refuses an ``a_min`` so small that a curve overflows (``ValueError``).
+    """
     if not (0.0 < a_min < a_max < math.inf):
         raise ValueError("need 0 < a_min < a_max < inf")
     steps = int(steps)
@@ -189,5 +180,8 @@ def figure_curves(params: WaveguideParams, a_min: float, a_max: float,
     win = window(params)
     xs = np.array(sorted_bessel_zeros(int(i_max)))
     a = np.linspace(a_min, a_max, steps)
-    curves = (xs[None, :] / a[:, None]) ** 2 + win.lower
+    with np.errstate(over="ignore"):
+        curves = (xs[None, :] / a[:, None]) ** 2 + win.lower
+    if not np.all(np.isfinite(curves)):
+        raise ValueError(f"a_min={a_min!r} is too small: the curves overflow")
     return FigureCurves(a=a, curves=curves, edge=win.upper, lower=win.lower)

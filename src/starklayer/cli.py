@@ -6,7 +6,7 @@ and JSON carries the parsed configuration, the tolerance constants, and the
 provenance of the method used.
 
 Exit codes: 0 success, 1 solver failure (failure report on stderr),
-2 validation error.
+2 validation error, or an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -306,6 +306,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                      options=options)
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write --out {path}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -319,10 +324,17 @@ def main(argv=None) -> int:
     # neither creates nor truncates the output file.
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
+    try:
+        with fh:
             code = run(config, out=fh)
         if code == 0:
-            os.replace(tmp, args.out)
+            try:
+                os.replace(tmp, args.out)
+            except OSError as exc:
+                code = _cannot_write(args.out, exc)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

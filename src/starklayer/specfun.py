@@ -24,12 +24,12 @@ Evaluation strategy
   of Ai and of Ai'; the n-th is the last of them.
 * Bessel zeros: ``scipy.special.jn_zeros``, behind the order and index caps.
   Its first 100 zeros of every order ``m <= 64`` ship with the package in
-  ``_jn_zeros.npy``; only a zero of index above 100 calls scipy.  Zeros are
-  memoized in a lock-protected table, filled a whole prefix of indices at a
-  time.  ``scipy.special`` is imported on first use (an Airy-zero call, or a
-  zero-table miss above the shipped prefix), so the Airy-function,
-  quadrature and shipped-zero paths never load scipy.  Each shipped table is
-  read on its first use, not at import.
+  ``_jn_zeros.npy``; a zero of index above 100 reads one cached
+  ``jn_zeros(m, 1000)`` of its order.  ``merged_bessel_zeros`` sorts the
+  shipped zeros of all orders once, up to ``j_{64,1}``.  ``scipy.special`` is
+  imported on first use (an Airy-zero call, or a zero past the shipped
+  prefix), so the Airy-function, quadrature and shipped-zero paths never load
+  scipy.  Each shipped table is read on its first use, not at import.
 
 Relative-error statements for the oscillatory regimes are with respect to the
 local envelope (any fixed-precision value has unbounded relative error at a
@@ -39,21 +39,20 @@ zero crossing).
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 __all__ = [
-    "BesselZeroTable",
     "QuadratureError",
     "UnsupportedOrderError",
     "airy_grid",
     "airy_ai_zero",
     "airy_aip_zero",
     "bessel_zero",
+    "merged_bessel_zeros",
     "integrate",
     "TOLERANCES",
 ]
@@ -207,32 +206,6 @@ def airy_aip_zero(n: int) -> float:
 # Zeros of the Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BesselZeroTable:
-    """Memo table (m, k) -> k-th positive zero of J_m, internally synchronized."""
-
-    entries: dict = field(default_factory=dict)
-    _highest: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def get(self, m: int, k: int):
-        with self._lock:
-            return self.entries.get((m, k))
-
-    def put(self, m: int, k: int, value: float) -> None:
-        with self._lock:
-            self.entries[(m, k)] = value
-            self._highest[m] = max(self._highest.get(m, 0), k)
-
-    def highest(self, m: int) -> int:
-        """Highest zero index stored for order ``m`` (0 when none)."""
-        with self._lock:
-            return self._highest.get(m, 0)
-
-
-_DEFAULT_ZEROS = BesselZeroTable()
-
-
 @cache
 def _shipped(name: str) -> np.ndarray:
     """A table shipped with the package, read on first use.
@@ -243,13 +216,33 @@ def _shipped(name: str) -> np.ndarray:
     return np.load(Path(__file__).with_name(name))
 
 
-def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
+def _shipped_zero(m: int, k: int):
+    """``j_{m,k}`` from ``_jn_zeros.npy``, or None for a pair outside it."""
+    shipped = _shipped("_jn_zeros.npy")
+    if 0 <= m < shipped.shape[0] and 1 <= k <= shipped.shape[1]:
+        return float(shipped[m, k - 1])
+    return None
+
+
+# Kept only for the benchmark tracer, which calls ``_DEFAULT_ZEROS.get(m, k)``
+# before each ``bessel_zero``; it goes with the tracer's other names (ROADMAP
+# item 4).
+_DEFAULT_ZEROS = SimpleNamespace(get=_shipped_zero)
+
+
+@cache
+def _deep_zeros(m: int) -> np.ndarray:
+    """``jn_zeros(m, MAX_BESSEL_ZERO_INDEX)``, computed once per order."""
+    import scipy.special
+    return scipy.special.jn_zeros(m, MAX_BESSEL_ZERO_INDEX)
+
+
+def bessel_zero(m: int, k: int) -> float:
     """k-th positive zero of ``J_m`` to ``1e-10`` absolute (``m <= 64``, ``k <= 1000``).
 
-    The value is ``scipy.special.jn_zeros(m, k)[-1]``.  A memo miss at
-    ``k <= 100`` stores row ``m`` of the shipped table, read from
-    ``_jn_zeros.npy`` on the first miss; a deeper index fetches a prefix
-    from ``jn_zeros``, which returns the same leading zeros whatever the count.
+    The value is ``scipy.special.jn_zeros(m, k)[-1]``: row ``m`` of the shipped
+    table for ``k <= 100``, else the k-th of ``jn_zeros(m, 1000)``, which
+    begins with the same zeros whatever the count.
     """
     m = int(m)
     k = int(k)
@@ -257,25 +250,24 @@ def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
         raise UnsupportedOrderError(f"order {m} outside supported range 0..{MAX_BESSEL_ORDER}")
     if k < 1 or k > MAX_BESSEL_ZERO_INDEX:
         raise UnsupportedOrderError(f"zero index {k} outside supported range 1..{MAX_BESSEL_ZERO_INDEX}")
-    if table is None:
-        table = _DEFAULT_ZEROS
-    cached = table.get(m, k)
-    if cached is not None:
-        return cached
+    zero = _shipped_zero(m, k)
+    return zero if zero is not None else float(_deep_zeros(m)[k - 1])
 
+
+@cache
+def merged_bessel_zeros() -> tuple:
+    """Every zero ``j_{m,k} <= j_{64,1}`` of ``J_0 .. J_64`` as ``(x, m, k)``, ascending.
+
+    Ties (none exist analytically) go to the smaller order.  The list is
+    complete up to ``j_{64,1}``: every higher order starts above it, and J_0,
+    the densest order, has 23 zeros below it, far inside the 100 shipped.
+    Sorted from ``_jn_zeros.npy`` on first use.
+    """
     shipped = _shipped("_jn_zeros.npy")
-    if m < shipped.shape[0] and k <= shipped.shape[1]:
-        zeros = shipped[m]
-    else:
-        import scipy.special
-        # Fetching at least twice the deepest cached index keeps an ascending
-        # k-sweep at O(log k) scipy calls.
-        count = min(max(k, 2 * table.highest(m)), MAX_BESSEL_ZERO_INDEX)
-        zeros = scipy.special.jn_zeros(m, count)
-    zeros = zeros.tolist()
-    for j, z in enumerate(zeros, start=1):
-        table.put(m, j, z)
-    return zeros[k - 1]
+    m, k = np.nonzero(shipped <= shipped[MAX_BESSEL_ORDER, 0])
+    x = shipped[m, k]
+    order = np.lexsort((m, x))
+    return tuple(zip(x[order].tolist(), m[order].tolist(), (k[order] + 1).tolist()))
 
 
 # ---------------------------------------------------------------------------

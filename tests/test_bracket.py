@@ -195,6 +195,15 @@ def test_sorted_zeros_match_independent_merge():
     assert bracket.sorted_bessel_zeros(50) == [z for z, _ in merged[:50]]
 
 
+def test_merged_zeros_are_every_zero_up_to_the_order_cap():
+    cap_zero = float(jn_zeros(specfun.MAX_BESSEL_ORDER, 1)[0])
+    assert jn_zeros(0, 30)[-1] > cap_zero
+    every = sorted((float(x), m, k) for m in range(specfun.MAX_BESSEL_ORDER + 1)
+                   for k, x in enumerate(jn_zeros(m, 30), start=1) if x <= cap_zero)
+    assert len(every) == 638
+    assert list(specfun.merged_bessel_zeros()) == every
+
+
 def test_sorted_zeros_fail_only_past_the_order_cap():
     # Order 64 first enters the merge at its first zero; one more zero needs order 65.
     cap_zero = specfun.bessel_zero(specfun.MAX_BESSEL_ORDER, 1)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from starklayer import cli, fd2d, transverse
+from starklayer import cli, fd2d, specfun, transverse
 
 PI_STR = "3.141592653589793"
 
@@ -277,6 +277,33 @@ def test_output_file_untouched_on_failure(tmp_path, argv, code):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.csv", "No such file or directory"),
+    ("dir", "Is a directory"),
+], ids=["no-parent", "directory"])
+def test_unwritable_output_is_validation_error(tmp_path, capsys, target, reason):
+    # Opening or renaming the output raised a traceback with exit 1 and no report.
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / target
+    assert cli.main(["threshold", "--F", "0", "--d", "1", "--i", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {out}: {reason}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_figure_refuses_overflowing_curves(capsys):
+    # (x/a)^2 overflows at a = 1e-200: the rows read inf, after a numpy warning.
+    argv = ["figure", "--F", "0", "--d", "1", "--a-min", "1e-200", "--a-max", "1e-199",
+            "--steps", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a_min=1e-200 is too small: the curves overflow\n"
+
+
 def test_threshold_past_twenty_three_curves():
     code, text = run_capture(["threshold", "--F", "0", "--d", PI_STR, "--i", "30"])
     assert code == 0
@@ -326,6 +353,21 @@ def test_threshold_merges_zeros_once(monkeypatch):
     assert [int(j) for j, _ in rows] == list(range(1, 41))
     assert [float(v) for _, v in rows] == [bracket.sufficient_radius(params, j)
                                            for j in range(1, 41)]
+
+
+def test_bracket_threshold_and_figure_read_no_single_zero(monkeypatch):
+    # Each takes its zeros from the one merged list, so none makes a scalar
+    # bessel_zero call, at the widest bracket and the longest threshold list.
+    def refused(m, k):
+        raise AssertionError(f"bessel_zero({m}, {k}) called")
+
+    monkeypatch.setattr(specfun, "bessel_zero", refused)
+    figure = [argv for argv in _readme_commands() if argv[0] == "figure"]
+    for argv in [["bracket", "--F", "0", "--d", PI_STR, "--a", "82", "--format", "json"],
+                 ["threshold", "--F", "0", "--d", PI_STR, "--i", "638"]] + figure:
+        code, text = run_capture(argv)
+        assert code == 0, argv
+        assert text
 
 
 # Runs one entry point in a fresh interpreter, then lists the scipy modules it
@@ -406,12 +448,24 @@ def _readme_commands():
     return commands
 
 
+_README_GOLDEN = os.path.join(os.path.dirname(__file__), "readme_golden")
+
+
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
-    # A renamed option or command must not silently break the README; figure
-    # --out writes its file into tmp_path, and capsys keeps stdout quiet.
+    # A renamed option or command must not silently break the README, and each
+    # command prints the bytes of readme_golden/<command>.txt: for figure the
+    # file its --out writes into tmp_path, for solve2d the k and lambda columns
+    # only (its residual column is rounding noise).
     commands = _readme_commands()
     assert len(commands) == 6
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert cli.main(argv) == 0, argv
-    assert (tmp_path / "curves.csv").is_file()
+        text = capsys.readouterr().out
+        if argv[0] == "figure":
+            assert text == ""
+            text = (tmp_path / "curves.csv").read_text(encoding="utf-8")
+        elif argv[0] == "solve2d":
+            text = "".join(",".join(line.split(",")[:2]) + "\n" for line in text.splitlines())
+        with open(os.path.join(_README_GOLDEN, argv[0] + ".txt"), encoding="utf-8") as fh:
+            assert text == fh.read(), argv

@@ -197,15 +197,16 @@ def test_strong_field_certificate_has_the_airy_limit_slope(u, d, a):
 @PROPERTY
 @given(data=st.data())
 def test_bessel_zero_is_scipys_in_any_access_order(data):
-    # The memo holds scipy's value whether the shipped prefix or a jn_zeros
-    # fetch filled it, so no access order can change a zero.
+    # A zero is scipy's whether the shipped prefix or the per-order
+    # jn_zeros(m, 1000) holds it, so no access order can change it.
     orders = data.draw(st.lists(st.integers(0, specfun.MAX_BESSEL_ORDER),
                                 min_size=1, max_size=3, unique=True))
-    reads = data.draw(st.lists(st.tuples(st.sampled_from(orders), st.integers(1, 300)),
+    reads = data.draw(st.lists(st.tuples(st.sampled_from(orders),
+                                         st.integers(1, specfun.MAX_BESSEL_ZERO_INDEX)),
                                min_size=1, max_size=12))
-    table = specfun.BesselZeroTable()
+    specfun._deep_zeros.cache_clear()
     for m, k in reads:
-        assert specfun.bessel_zero(m, k, table=table) == float(jn_zeros(m, k)[k - 1])
+        assert specfun.bessel_zero(m, k) == float(jn_zeros(m, k)[k - 1])
 
 
 def _at_table_piece_edges(test):

@@ -156,7 +156,8 @@ def test_double_double_module_is_gone():
 
 
 def test_uncalled_entry_points_are_gone():
-    public = ("bessel_j", "emit_figure", "chi1_second_derivative", "airy", "AiryPair")
+    public = ("bessel_j", "emit_figure", "chi1_second_derivative", "airy", "AiryPair",
+              "BesselZeroTable")
     per_module = {"specfun": ("_airy_asym_pos", "_airy_asym_neg", "_AIRY_U"),
                   "certify": ("bump", "bump_prime", "cutoff_profile", "cutoff_profile_prime",
                               "cutoff_dilated", "cutoff_dilated_prime", "_smoothstep",
@@ -266,41 +267,35 @@ def test_bessel_order_and_index_caps():
         specfun.bessel_zero(0, 1001)
 
 
-def test_zero_table_memoization(monkeypatch):
+def test_deep_zeros_call_jn_zeros_once_per_order(monkeypatch):
+    # Indices up to 100 are read from the shipped table; deeper ones from one
+    # jn_zeros(m, 1000) per order, whatever the order of the reads.
     real = scipy.special.jn_zeros
     calls = []
 
-    def first_call_only(m, n):
-        calls.append((m, n))
-        if len(calls) > 1:
-            raise AssertionError("memo hit expected, jn_zeros called again")
-        return real(m, n)
-
-    monkeypatch.setattr(scipy.special, "jn_zeros", first_call_only)
-    table = specfun.BesselZeroTable()
-    val = specfun.bessel_zero(3, 2, table=table)
-    assert table.entries[(3, 2)] == val
-    assert calls == []   # inside the shipped prefix
-    deep = specfun.bessel_zero(3, 150, table=table)
-    assert table.entries[(3, 150)] == deep
-    assert specfun.bessel_zero(3, 150, table=table) == deep
-    assert specfun.bessel_zero(3, 2, table=table) == val
-    assert len(calls) == 1
-
-
-def test_zero_table_ascending_sweep_fetches_geometrically(monkeypatch):
-    real = scipy.special.jn_zeros
-    counts = []
-
     def counting(m, n):
-        counts.append(n)
+        calls.append((m, n))
         return real(m, n)
 
     monkeypatch.setattr(scipy.special, "jn_zeros", counting)
-    table = specfun.BesselZeroTable()
-    sweep = [specfun.bessel_zero(5, k, table=table) for k in range(1, 201)]
-    assert sweep == [float(z) for z in real(5, 200)]
-    assert counts == [200]   # k <= 100 from the shipped prefix, then twice its depth
+    specfun._deep_zeros.cache_clear()
+    shallow = [specfun.bessel_zero(m, k) for m in (0, 3, 64) for k in (1, 57, 100)]
+    assert calls == []
+    assert shallow == [float(real(m, k)[-1]) for m in (0, 3, 64) for k in (1, 57, 100)]
+    reads = [(3, 150), (5, 1000), (3, 101), (5, 200), (3, 1000), (3, 2)]
+    deep = [specfun.bessel_zero(m, k) for m, k in reads]
+    assert calls == [(3, 1000), (5, 1000)]
+    assert deep == [float(real(m, k)[-1]) for m, k in reads]
+
+
+def test_tracer_zero_reader_never_raises():
+    # The benchmark tracer calls _DEFAULT_ZEROS.get(m, k) before each
+    # bessel_zero call, outside its error handling.
+    get = specfun._DEFAULT_ZEROS.get
+    assert get(0, 1) == specfun.bessel_zero(0, 1)
+    assert get(64, 100) == specfun.bessel_zero(64, 100)
+    for m, k in ((-1, 1), (0, 0), (0, 101), (65, 1), (10 ** 30, -(10 ** 30))):
+        assert get(m, k) is None
 
 
 def test_shipped_zeros_are_scipys():
