@@ -5,13 +5,12 @@ summed from defining power series; the production code paths (Chebyshev
 tables, recurrences) share nothing with these routines.
 ``airy_cheb_table`` also generates the shipped table ``_airy_cheb.npy``.
 ``certificate_q`` integrates the defining integrals of the certificate's Q
-with mpmath's Airy functions and quadrature; ``bump_moments`` rebuilds the
-bump moments that ``certify`` ships as literals.  Two parts are float64:
-the pieces of the certificate's trial function (``bump``, the ``cutoff_*``
-profiles), which ``certify`` no longer evaluates, and
-``quadratic_form_matrix``, which assembles the 2-D FD matrix face by face
-from its quadratic form, independently of the Kronecker-sum assembly in
-``fd2d``.
+with mpmath's Airy functions and quadrature.  Two parts are float64: the
+pieces of the certificate's trial function (``bump``, the window profile
+h(r/a) = 1 - (r/a)^2, and the ``cutoff_*`` ramp), which ``certify`` never
+evaluates, and ``quadratic_form_matrix``, which assembles the 2-D FD matrix
+face by face from its quadratic form, independently of the Kronecker-sum
+assembly in ``fd2d``.
 """
 
 import functools
@@ -178,57 +177,30 @@ def airy_cheb_table(cut=8, scaled_from=2, degree=16, dps=40):
     return table
 
 
-def _unit_bump_sq(s):
-    """(g^2, (g^2)') of the unit bump g(s) = exp(-1/(1-(2s-1)^2)) at an mpf s."""
-    u = 2 * s - 1
-    one = 1 - u * u
-    if one <= 0:
-        return mp.mpf(0), mp.mpf(0)
-    g2 = mp.exp(-2 / one)
-    return g2, g2 * (-8 * u / one ** 2)
-
-
-def bump_moments(dps=30):
-    """(I_2, I_4, I_g) of the unit bump: int g^2 s, int g^4 s, int ((g^2)')^2 s over (0, 1)."""
-    with mp.workdps(dps):
-        def moment(f):
-            return mp.quad(lambda s: f(*_unit_bump_sq(s)) * s, [0, 0.5, 1])
-        return (moment(lambda g2, dg2: g2), moment(lambda g2, dg2: g2 * g2),
-                moment(lambda g2, dg2: dg2 * dg2))
-
-
 # Float64 pieces of the certificate's trial function, for tests that integrate
-# them with ``specfun.integrate``: the bump phi(r) of radius a and the cutoff,
-# 1 on [0, b] with a quintic smoothstep decay on [b, b + 1], dilated beyond b
+# them with ``specfun.integrate``: the window profile h(r/a) of radius a and the
+# cutoff, 1 on [0, b] with a linear decay on [b, b + 1], dilated beyond b
 # through s = b + tau*(ln r - ln b).  Each maps an array (or a scalar, as a
 # 0-d array) to an array of its shape.
 
 def bump(r, a):
-    """exp(-1/(1-((2r-a)/a)^2)) on (0, a), 0 outside: peak e^-1 at r = a/2."""
-    s = (2.0 * np.asarray(r, dtype=np.float64) - a) / a
-    inside = np.abs(s) < 1.0 - 1e-14
-    one = 1.0 - np.where(inside, s, 0.0) ** 2
-    return np.where(inside, np.exp(-1.0 / one), 0.0)
+    """h(r/a) = 1 - (r/a)^2 on [0, a], 0 outside: peak 1 at r = 0."""
+    r = np.asarray(r, dtype=np.float64)
+    return np.where((r >= 0.0) & (r <= a), 1.0 - (r / a) ** 2, 0.0)
 
 
 def bump_prime(r, a):
-    s = (2.0 * np.asarray(r, dtype=np.float64) - a) / a
-    inside = np.abs(s) < 1.0 - 1e-14
-    s = np.where(inside, s, 0.0)
-    one = 1.0 - s ** 2
-    return np.where(inside, np.exp(-1.0 / one) * (-2.0 * s / one ** 2) * (2.0 / a), 0.0)
+    r = np.asarray(r, dtype=np.float64)
+    return np.where((r >= 0.0) & (r < a), -2.0 * r / (a * a), 0.0)
 
 
 def cutoff_profile(s, b):
-    t = np.clip(np.asarray(s, dtype=np.float64) - b, 0.0, 1.0)
-    return 1.0 - ((6.0 * t - 15.0) * t + 10.0) * t ** 3
+    return np.clip(b + 1.0 - np.asarray(s, dtype=np.float64), 0.0, 1.0)
 
 
 def cutoff_profile_prime(s, b):
     t = np.asarray(s, dtype=np.float64) - b
-    on = (t > 0.0) & (t < 1.0)
-    t = np.where(on, t, 0.0)
-    return np.where(on, -30.0 * t ** 2 * (1.0 - t) ** 2, 0.0)
+    return np.where((t > 0.0) & (t < 1.0), -1.0, 0.0)
 
 
 def _dilated(r, b, tau):
@@ -298,7 +270,9 @@ def dd_ground_state(F, d, dps=30):
 def certificate_q(F, d, a, b, tau, eps, dps=20):
     """Q[Phi] of the admissible trial function from its defining integrals.
 
-    ``Phi = phi_tau(r) chi_1(z) + eps phi(r)^2 (1 - z/d)`` and
+    ``Phi = phi_tau(r) chi_1(z) + eps h(r/a) (1 - z/d)``, with
+    ``h(s) = 1 - s^2`` on [0, 1] and the cutoff ``phi_tau`` a linear ramp from
+    1 at ``r = b`` to 0 at ``s = b + 1``, dilated through ``s = b + tau ln(r/b)``, and
     ``Q = 2 pi int int (|d_r Phi|^2 + |d_z Phi|^2 + (F z - lam) Phi^2) r dr dz``
     with lam the Dirichlet-Dirichlet ground level.  Every product of an r- and
     a z-integral is integrated in mpmath, z split at the turning point, with
@@ -322,12 +296,10 @@ def certificate_q(F, d, a, b, tau, eps, dps=20):
         dpsi = -1 / d
 
         def profile(s):
-            t = min(max(s - b, 0), 1)
-            return 1 - ((6 * t - 15) * t + 10) * t ** 3
+            return min(max(b + 1 - s, 0), 1)
 
         def profile_prime(s):
-            t = s - b
-            return -30 * t ** 2 * (1 - t) ** 2 if 0 < t < 1 else mp.mpf(0)
+            return mp.mpf(-1) if b < s < b + 1 else mp.mpf(0)
 
         def cutoff(r):
             return profile(b + tau * mp.log(r / b)) if r > b else mp.mpf(1)
@@ -335,9 +307,9 @@ def certificate_q(F, d, a, b, tau, eps, dps=20):
         def cutoff_prime(r):
             return profile_prime(b + tau * mp.log(r / b)) * tau / r if r > b else mp.mpf(0)
 
-        def bump_sq(r):
-            g2, dg2 = _unit_bump_sq(r / a)
-            return g2, dg2 / a
+        def bump(r):
+            """(h(r/a), its r-derivative)."""
+            return (1 - (r / a) ** 2, -2 * r / a ** 2) if r < a else (mp.mpf(0), mp.mpf(0))
 
         def rint(f):
             return mp.quad(lambda r: f(r) * r, [0, a / 2, a])
@@ -349,11 +321,11 @@ def certificate_q(F, d, a, b, tau, eps, dps=20):
         block_cutoff = cutoff_grad * zint(lambda z: chi(z) ** 2)
 
         def xi(r):
-            return cutoff(r) * bump_sq(r)[0]
+            return cutoff(r) * bump(r)[0]
 
         def xi_prime(r):
-            g2, dg2 = bump_sq(r)
-            return cutoff_prime(r) * g2 + cutoff(r) * dg2
+            h, dh = bump(r)
+            return cutoff_prime(r) * h + cutoff(r) * dh
 
         cross = (rint(lambda r: cutoff_prime(r) * xi_prime(r)) * zint(lambda z: chi(z) * psi(z))
                  + rint(lambda r: cutoff(r) * xi(r))

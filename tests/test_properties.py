@@ -186,11 +186,11 @@ def test_certificate_is_negative_and_matches_its_decomposition(u, d, r):
 @example(u=1e18, d=1.0, a=1.0)
 def test_strong_field_certificate_has_the_airy_limit_slope(u, d, a):
     # For F d^3 >= 1e8, chi_1'(0) = F^(1/2) up to e^-(2/3)(F d^3)^(1/2): the
-    # boundary term C is 4 pi a^2 I_2 F^(1/2), independent of the code.
+    # boundary term C is pi a^2 F^(1/2), independent of the code.
     F = u / d ** 3
     cert = certify.certify(WaveguideParams(F=F, d=d, a=a))
     assert cert.valid
-    limit = 4.0 * math.pi * a * a * certify._BUMP_I2 * math.sqrt(F)
+    limit = math.pi * a * a * math.sqrt(F)
     assert abs(cert.coeff_C / limit - 1.0) <= 1e-13
 
 

@@ -387,19 +387,38 @@ def _reference_integrate(f, lo, hi, tol):
 def test_integrate_matches_recursive_reference_on_certify_integrands(F, d, a):
     # The integrands the quadrature certificate used, at its tolerances: the
     # bump blocks, the cutoff gradient, chi_1 and (F z - lam) chi_1.
+    # The certificate then used the mollifier exp(-1/(1-u^2)), u = (2r-a)/a,
+    # and the quintic smoothstep cutoff; they are kept here because, unlike
+    # its polynomial pieces today, Simpson does not integrate them exactly.
     p = WaveguideParams(F=F, d=d, a=a)
     level = transverse.ground_level(F, d, transverse.BoundaryType.DIRICHLET_DIRICHLET)
     b, scale = 2.0 * a, max(a * a, 1e-8)
 
-    def phi(r):
-        return oracles.bump(r, a)
+    def mollifier(r):
+        """(g, g') on (0, a), both 0 outside."""
+        u = (2.0 * np.asarray(r, dtype=np.float64) - a) / a
+        inside = np.abs(u) < 1.0 - 1e-14
+        u = np.where(inside, u, 0.0)
+        one = 1.0 - u ** 2
+        g = np.where(inside, np.exp(-1.0 / one), 0.0)
+        return g, g * (-2.0 * u / one ** 2) * (2.0 / a)
+
+    def mollifier_sq_prime(r):
+        g, dg = mollifier(r)
+        return 2.0 * g * dg
+
+    def smoothstep_prime(s):
+        t = np.asarray(s, dtype=np.float64) - b
+        on = (t > 0.0) & (t < 1.0)
+        t = np.where(on, t, 0.0)
+        return np.where(on, -30.0 * t ** 2 * (1.0 - t) ** 2, 0.0)
 
     cases = [
-        (lambda r: phi(r) ** 2 * r, 0.0, a, 1e-11 * scale),
-        (lambda r: (2.0 * phi(r) * oracles.bump_prime(r, a)) ** 2 * r, 0.0, a,
+        (lambda r: mollifier(r)[0] ** 2 * r, 0.0, a, 1e-11 * scale),
+        (lambda r: mollifier_sq_prime(r) ** 2 * r, 0.0, a,
          1e-11 * max(1.0, scale)),
-        (lambda r: phi(r) ** 4 * r, 0.0, a, 1e-11 * scale),
-        (lambda s: oracles.cutoff_profile_prime(s, b) ** 2, b, b + 1.0, 1e-11),
+        (lambda r: mollifier(r)[0] ** 4 * r, 0.0, a, 1e-11 * scale),
+        (lambda s: smoothstep_prime(s) ** 2, b, b + 1.0, 1e-11),
         (lambda z: transverse.chi(level, p, z), 0.0, d, 1e-11 * max(1.0, d)),
         (lambda z: (F * z - level.lam) * transverse.chi(level, p, z), 0.0, d,
          1e-11 * max(1.0, abs(level.lam) * d)),
