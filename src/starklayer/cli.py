@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -306,8 +307,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                      options=options)
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"error: cannot write --out {path}: {exc.strerror}", file=sys.stderr)
+def _cannot_write(path: str, reason: str) -> int:
+    print(f"error: cannot write --out {path}: {reason}", file=sys.stderr)
     return 2
 
 
@@ -320,13 +321,16 @@ def main(argv=None) -> int:
     config = config_from_args(args)
     if args.out is None:
         return run(config)
+    # A directory would be refused only by the final rename; refuse it first.
+    if os.path.isdir(args.out):
+        return _cannot_write(args.out, os.strerror(errno.EISDIR))
     # Write beside the target and rename only on success, so a failed run
     # neither creates nor truncates the output file.
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "x", encoding="utf-8")
     except OSError as exc:
-        return _cannot_write(args.out, exc)
+        return _cannot_write(args.out, exc.strerror)
     try:
         with fh:
             code = run(config, out=fh)
@@ -334,7 +338,7 @@ def main(argv=None) -> int:
             try:
                 os.replace(tmp, args.out)
             except OSError as exc:
-                code = _cannot_write(args.out, exc)
+                code = _cannot_write(args.out, exc.strerror)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

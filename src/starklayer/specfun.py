@@ -21,7 +21,7 @@ Evaluation strategy
   ``xi = (2/3) x**1.5``, so both the decaying and the growing solution stay
   representable for ``x`` up to at least ``1e4``.
 * Airy zeros: ``scipy.special.ai_zeros``, which returns the first n zeros
-  of Ai and of Ai'; the n-th is the last of them.
+  of Ai and of Ai'; the n-th is read from one cached ``ai_zeros(max(n, 100))``.
 * Bessel zeros: ``scipy.special.jn_zeros``, behind the order and index caps.
   Its first 100 zeros of every order ``m <= 64`` ship with the package in
   ``_jn_zeros.npy``; a zero of index above 100 reads one cached
@@ -184,22 +184,33 @@ def airy_grid(x):
     return tuple(v.reshape(shape) for v in (ai, aip, bi, bip, scale))
 
 
-def _ai_zeros(n: int):
+@cache
+def _ai_zero_table(count: int):
+    import scipy.special
+    return scipy.special.ai_zeros(count)
+
+
+def _ai_zero(n: int, which: int) -> float:
+    """The n-th zero of Ai (``which`` 0) or Ai' (1), from one memoized ``ai_zeros``.
+
+    The n-th entry of a longer ``ai_zeros`` list is the last of
+    ``ai_zeros(n)``, bit for bit, so one table of 100 serves every
+    ``levels --count``.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("zero index must be >= 1")
-    import scipy.special
-    return scipy.special.ai_zeros(n)
+    return float(_ai_zero_table(max(n, 100))[which][n - 1])
 
 
 def airy_ai_zero(n: int) -> float:
     """Magnitude ``t_n`` of the n-th negative zero of Ai (``Ai(-t_n) = 0``)."""
-    return -float(_ai_zeros(n)[0][-1])
+    return -_ai_zero(n, 0)
 
 
 def airy_aip_zero(n: int) -> float:
     """Magnitude ``t'_n`` of the n-th negative zero of Ai' (``Ai'(-t'_n) = 0``)."""
-    return -float(_ai_zeros(n)[1][-1])
+    return -_ai_zero(n, 1)
 
 
 # ---------------------------------------------------------------------------

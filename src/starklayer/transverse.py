@@ -52,8 +52,9 @@ NORM_TOL = 1e-11               # quadrature target for the L2 normalization
 # Widths at which the trig switch and the first 100 trig levels are normal floats.
 MIN_WIDTH, MAX_WIDTH = 1e-100, 1e100
 
-# Below F = 1e-8 * (pi/d)^3 the Airy scaling degenerates numerically and the
-# spectrum is trigonometric to 1e-8 relative anyway.
+# Below F = 1e-8 * (pi/d)^3 the Airy scaling degenerates numerically; there the
+# levels are the trig ones plus the first-order shift F <z>, whose remainder
+# O((F d^3)^2) is below the rounding of lam.
 _TRIG_SWITCH = 1e-8
 
 # A root is refined until its bracket is narrower than _XTOL + _RTOL * |x|
@@ -106,10 +107,16 @@ def _use_trig(params: WaveguideParams) -> bool:
     return params.F < _TRIG_SWITCH * (math.pi / params.d) ** 3
 
 
-def _trig_lam(d: float, bc: BoundaryType, n: int) -> float:
+def _trig_lam(d: float, bc: BoundaryType, n: int, F: float = 0.0) -> float:
+    """Field-free level ``k^2`` plus the first-order Stark shift ``F <z>``.
+
+    ``<z>`` is ``d/2`` for ``sin(k z)`` (DD) and ``d/2 - 2d/((2n-1)^2 pi^2)``
+    for ``cos(k z)`` (ND).  At ``F = 0`` the shift adds exactly 0.0.
+    """
     if bc is BoundaryType.DIRICHLET_DIRICHLET:
-        return (n * math.pi / d) ** 2
-    return ((2 * n - 1) * math.pi / (2.0 * d)) ** 2
+        return (n * math.pi / d) ** 2 + F * (0.5 * d)
+    return (((2 * n - 1) * math.pi / (2.0 * d)) ** 2
+            + F * (0.5 * d - 2.0 * d / ((2 * n - 1) * math.pi) ** 2))
 
 
 def _far_wall(params: WaveguideParams, lam, z, derivative: bool):
@@ -247,8 +254,9 @@ def _scale(F: float, d: float, level: TransverseLevel) -> float:
 def _chi(level: TransverseLevel, params: WaveguideParams, z, derivative: bool):
     z_arr = np.asarray(z, dtype=np.float64)
     if _use_trig(params):
-        # The far-wall solution is sin(k (d - z)) for both walls.
-        k = math.sqrt(level.lam)
+        # The far-wall solution is sin(k (d - z)) for both walls, on the
+        # field-free wavenumber.
+        k = math.sqrt(_trig_lam(params.d, level.bc, level.n))
         out = -k * np.cos(k * (params.d - z_arr)) if derivative else np.sin(k * (params.d - z_arr))
     else:
         w = params.F ** (1.0 / 3.0) if derivative else 1.0
@@ -298,13 +306,16 @@ def _l2_norm(params: WaveguideParams, lam: float) -> float:
 def levels(params: WaveguideParams, bc: BoundaryType, count: int) -> list[TransverseLevel]:
     """First ``count`` transverse eigenvalues in increasing order, located to 1e-10 relative.
 
-    Except in the weak field: up to 2e-6 relative off at F = 3.1e-7, d = 1.
+    Except in the weak field just above the trig switch: up to 2e-6 relative
+    off at F = 3.13e-7, d = 1.  Below it (``F < 1e-8 (pi/d)^3``) a level is the
+    trig one plus the first-order shift ``F <z>``, within 1e-13 of the Airy
+    determinant's root.
     """
     count = int(count)
     if not 1 <= count <= 100:
         raise ValueError("count must be in 1..100")
     if _use_trig(params):
-        lams = [_trig_lam(params.d, bc, n) for n in range(1, count + 1)]
+        lams = [_trig_lam(params.d, bc, n, params.F) for n in range(1, count + 1)]
     else:
         lams = _scan_roots(params, bc, count)
     return [TransverseLevel(n=n, bc=bc, lam=lam) for n, lam in enumerate(lams, start=1)]

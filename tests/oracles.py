@@ -267,6 +267,35 @@ def dd_ground_state(F, d, dps=30):
         return lam, lambda z: f(z) / norm, lambda z: f(z, 1) / norm
 
 
+def weak_field_level(F, d, neumann, n, dps=40):
+    """The n-th transverse level on [0, d] at a weak field F > 0, from the Airy determinant.
+
+    The determinant is the value (Dirichlet, ``neumann`` false) or the slope
+    (Neumann) at z = 0 of ``Ai(zeta) Bi(zeta_d) - Bi(zeta) Ai(zeta_d)``,
+    ``zeta = F^(1/3) (z - lam/F)``, which vanishes at z = d.  Its root is
+    bracketed by the field-free level ``k^2`` (``k = n pi/d``, or
+    ``(n - 1/2) pi/d`` for Neumann) shifted by ``F d/4`` and ``3 F d/4``:
+    to first order the shift is ``F <z>``, with ``<z>`` between ``0.29 d`` and
+    ``d/2``, and the next order is smaller by ``F d^3/k`` or more.
+    """
+    with mp.workdps(dps):
+        F, d = mp.mpf(F), mp.mpf(d)
+        w = mp.cbrt(F)
+        k = (n - mp.mpf(1) / 2 if neumann else n) * mp.pi / d
+        derivative = 1 if neumann else 0
+
+        def det(lam):
+            zeta_0, zeta_d = -lam / w ** 2, w * d - lam / w ** 2
+            return (mp.airyai(zeta_0, derivative) * mp.airybi(zeta_d)
+                    - mp.airybi(zeta_0, derivative) * mp.airyai(zeta_d))
+
+        lo, hi = k * k + F * d / 4, k * k + 3 * F * d / 4
+        assert det(lo) * det(hi) < 0, "weak-field level not bracketed"
+        lam = mp.findroot(det, (lo, hi), solver="anderson")
+        assert lo <= lam <= hi
+        return lam
+
+
 def certificate_q(F, d, a, b, tau, eps, dps=20):
     """Q[Phi] of the admissible trial function from its defining integrals.
 

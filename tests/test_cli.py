@@ -293,6 +293,17 @@ def test_unwritable_output_is_validation_error(tmp_path, capsys, target, reason)
     assert not any((tmp_path / "dir").iterdir())
 
 
+def test_directory_output_is_refused_before_computing(tmp_path, monkeypatch, capsys):
+    # The directory used to be refused only by the final rename, after the run.
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args) or 0)
+    argv = ["certify", "--F", "1", "--d", "1", "--a", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: cannot write --out {tmp_path}: Is a directory\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.filterwarnings("error")
 def test_figure_refuses_overflowing_curves(capsys):
     # (x/a)^2 overflows at a = 1e-200: the rows read inf, after a numpy warning.

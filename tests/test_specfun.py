@@ -105,6 +105,24 @@ def test_airy_zeros_match_mpmath_first_hundred():
             zero(0)
 
 
+def test_airy_zeros_come_from_one_table(monkeypatch):
+    # levels --method asymptotic-strong --count 100 called ai_zeros(n) for
+    # every n; each zero is still the last of ai_zeros(n), bit for bit.
+    calls = []
+    kernel = scipy.special.ai_zeros
+    monkeypatch.setattr(scipy.special, "ai_zeros", lambda n: calls.append(n) or kernel(n))
+    specfun._ai_zero_table.cache_clear()
+    try:
+        for n in range(1, 101):
+            assert specfun.airy_ai_zero(n) == -kernel(n)[0][-1]
+            assert specfun.airy_aip_zero(n) == -kernel(n)[1][-1]
+        assert calls == [100]
+        assert specfun.airy_ai_zero(150) == -kernel(150)[0][-1]
+        assert calls == [100, 150]
+    finally:
+        specfun._ai_zero_table.cache_clear()
+
+
 def _fresh_python(probe, *paths):
     """Stdout of ``probe`` in a new interpreter that imports this checkout and ``paths``."""
     src = os.path.dirname(os.path.dirname(specfun.__file__))

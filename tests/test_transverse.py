@@ -10,6 +10,8 @@ from scipy.optimize import brentq
 from starklayer import bracket, fd2d, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
 
+import oracles
+
 DD = BoundaryType.DIRICHLET_DIRICHLET
 ND = BoundaryType.NEUMANN_DIRICHLET
 PI = math.pi
@@ -154,6 +156,21 @@ def test_weak_field_formula_tracks_exact_dirichlet():
     exact = transverse.levels(p, DD, 1)[0].lam
     approx = transverse.asymptotic_weak(p, DD, 1)
     assert approx == pytest.approx(exact, rel=1e-4)
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("fraction", [0.9, 1e-3])
+def test_levels_below_the_trig_switch_carry_the_stark_shift(d, fraction):
+    # Below the switch a level is k^2 + F <z>; the field-free k^2 alone was
+    # up to 3.6e-8 relative off (ND n = 1 at d = 1, F = 3e-7).
+    F = fraction * transverse._TRIG_SWITCH * (PI / d) ** 3
+    p = WaveguideParams(F=F, d=d)
+    assert transverse._use_trig(p)
+    for bc in (DD, ND):
+        lams = [lvl.lam for lvl in transverse.levels(p, bc, 20)]
+        for n in (1, 7, 13, 20):
+            exact = float(oracles.weak_field_level(F, d, bc is ND, n))
+            assert abs(lams[n - 1] / exact - 1.0) <= 1e-13, (bc, n)
 
 
 def test_strong_field_companion_matches_exact():
