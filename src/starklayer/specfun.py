@@ -19,7 +19,9 @@ Evaluation strategy
   less its leading term (DLMF 9.8), that term being reduced in extended
   precision.  For ``x > 0`` results are stored scaled by ``exp(±xi)``,
   ``xi = (2/3) x**1.5``, so both the decaying and the growing solution stay
-  representable for ``x`` up to at least ``1e4``.
+  representable for ``x`` up to at least ``1e4``.  ``airy_phase`` gives the
+  modulus-phase form, the phases less their leading term, which past -8 are
+  the far piece's phase rows, unreduced, with their Chebyshev derivative.
 * Airy zeros: ``scipy.special.ai_zeros``, which returns the first n zeros
   of Ai and of Ai'; the n-th is read from one cached ``ai_zeros(max(n, 100))``.
 * Bessel zeros: ``scipy.special.jn_zeros``, behind the order and index caps.
@@ -49,6 +51,7 @@ __all__ = [
     "QuadratureError",
     "UnsupportedOrderError",
     "airy_grid",
+    "airy_phase",
     "airy_ai_zero",
     "airy_aip_zero",
     "bessel_zero",
@@ -66,7 +69,7 @@ TOLERANCES = {
 MAX_BESSEL_ORDER = 64
 MAX_BESSEL_ZERO_INDEX = 1000
 
-MAX_CALL_POINTS = 1 << 15   # caps integrate() only; a transverse norm sends airy_grid up to 262,146
+MAX_CALL_POINTS = 1 << 15   # caps integrate() only
 
 _CUT = 8                  # unit table pieces on [-cut, cut], one far piece each side
 _CHEB_SCALED_FROM = 2.0   # unit pieces from here up hold scaled values
@@ -87,16 +90,15 @@ class QuadratureError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def _clenshaw(piece, t):
-    """(n, 4) sums ``sum_k c_k T_k(t)`` over the shipped table's rows ``piece``.
+def _clenshaw(coef, piece, t):
+    """(n, k) sums ``sum_j c_j T_j(t)`` over rows ``piece`` of the (pieces, degree, k) table ``coef``.
 
-    One recurrence evaluates all four functions of every point, reading one
+    One recurrence evaluates all ``k`` functions of every point, reading one
     degree of coefficients per step.
     """
-    coef = _shipped("_airy_cheb.npy")
     t = t[:, None]
-    b1 = np.zeros((t.size, 4))
-    b2 = np.zeros((t.size, 4))
+    b1 = np.zeros((t.size, coef.shape[2]))
+    b2 = np.zeros((t.size, coef.shape[2]))
     for k in range(coef.shape[1] - 1, -1, -1):
         # b_k = c_k + 2 t b_{k+1} - b_{k+2}, written over b_{k+2}; the value
         # sum c_k T_k(t) is the last step, which takes t for 2 t.
@@ -104,6 +106,20 @@ def _clenshaw(piece, t):
         b2 += (2.0 * t if k else t) * b1
         b1, b2 = b2, b1
     return b1
+
+
+@cache
+def _far_phase_rows() -> np.ndarray:
+    """The x < -8 piece's two phase rows and their t-derivatives, as a (1, degree, 4) table.
+
+    ``d_{k-1} = d_{k+1} + 2 k c_k``, then ``d_0`` halved: the table's sum convention.
+    """
+    c = _shipped("_airy_cheb.npy")[2 * _CUT + 1, :, 2:]
+    d = np.zeros((c.shape[0] + 1, 2))
+    for k in range(c.shape[0] - 1, 0, -1):
+        d[k - 1] = d[k + 1] + 2.0 * k * c[k]
+    d[0] *= 0.5
+    return np.concatenate((c, d[:-1]), axis=1)[None]
 
 
 def airy_grid(x):
@@ -136,7 +152,7 @@ def airy_grid(x):
     piece[near] = p = (np.minimum(np.floor(xs), _CUT - 1.0) + _CUT).astype(np.intp)
     t[near] = 2.0 * (xs - (p - (_CUT - 0.5)))
     t[far] = 2.0 * (_CUT / np.abs(x[far])) ** 1.5 - 1.0
-    a, ap, b, bp = _clenshaw(piece, t).T
+    a, ap, b, bp = _clenshaw(_shipped("_airy_cheb.npy"), piece, t).T
 
     ai = np.empty_like(x)
     aip = np.empty_like(x)
@@ -182,6 +198,37 @@ def airy_grid(x):
     bip[neg] = n * np.sin(phi)
 
     return tuple(v.reshape(shape) for v in (ai, aip, bi, bip, scale))
+
+
+def airy_phase(x):
+    """The modulus-phase form of DLMF 9.8 at every point of ``x``, from one :func:`airy_grid` call.
+
+    Returns ``(m, n, b, c, db, dc)``: ``Ai + i Bi = M e^{i theta}``,
+    ``Ai' + i Bi' = N e^{i phi}``, ``m = M e^-xi``, ``n = N e^-xi``, the phases
+    less their leading terms, ``b = theta - pi/4 + psi`` and
+    ``c = phi - 3 pi/4 + psi`` with ``psi = (2/3) max(-x, 0)**1.5`` (left to the
+    caller, who can difference it exactly), and their x-derivatives.  Past
+    ``x = -8`` these are the far piece's phase rows and their Chebyshev derivative.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    ai, aip, bi, bip, xi = airy_grid(x)
+    e = np.exp(-2.0 * xi)
+    m = np.hypot(ai * e, bi)
+    n = np.hypot(aip * e, bip)
+    neg = x < -_CUT
+    root = np.sqrt(np.maximum(-x, 0.0))
+    psi = np.where(neg, 0.0, (2.0 / 3.0) * root ** 3)
+    b = np.mod(np.arctan2(bi, ai * e) - math.pi / 4 + psi + math.pi, 2.0 * math.pi) - math.pi
+    c = np.mod(np.arctan2(bip, aip * e) - 3 * math.pi / 4 + psi + math.pi, 2.0 * math.pi) - math.pi
+    with np.errstate(over="ignore"):   # m, n past 1e154 give slopes of 0
+        db = e / (math.pi * m * m) - root
+        dc = -x * e / (math.pi * n * n) - root
+    s = -x[neg]
+    t = 2.0 * (_CUT / s) ** 1.5 - 1.0
+    rows = _clenshaw(_far_phase_rows(), 0, t)
+    b[neg], c[neg] = rows[:, 0], rows[:, 1]
+    db[neg], dc[neg] = (rows[:, 2:] * (1.5 * (t + 1.0) / s)[:, None]).T
+    return m, n, b, c, db, dc
 
 
 @cache

@@ -1,22 +1,18 @@
 """Transverse Stark operators ``-d^2/dz^2 + F z`` on ``[0, d]``.
 
-Exact eigenvalues via Airy determinants for the pure-Dirichlet case (window
-radius 0) and the Neumann-Dirichlet case (infinite window), a symmetric
-finite-difference oracle, and the weak/strong-field closed-form estimates.
+Exact eigenvalues for the pure-Dirichlet case (window radius 0) and the
+Neumann-Dirichlet case (infinite window), a symmetric finite-difference
+oracle, and the weak/strong-field closed-form estimates.
 
-Both walls use one solution, ``y = [Bi(zeta_d) Ai(zeta) - Ai(zeta_d) Bi(zeta)]
-e^{-xi_d}``, which vanishes at ``z = d``: its value (DD) or slope (ND) at
-``z = 0`` is the determinant, and scaled to unit norm it is the eigenfunction
-(``sqrt(2/d) sin(k (d - z))`` in the trig regime).  Its exponents are added
-before ``exp``, so strong fields (``F**(1/3) * d`` large) never overflow.
-
-The solve works on whole arrays.  The sign scan evaluates its lambda grid a
-chunk at a time, one ``airy_grid`` call per chunk; all bracketed roots are
-refined together by the Illinois method, one call per round.  For F from
-1e-2 to 1e4, ``levels(count=20)`` costs 10 to 50 calls.  ``levels`` returns
-eigenvalues only: an eigenfunction is normalized, by composite Simpson, and
-its ``z = 0`` wall checked on the first :func:`chi` or :func:`chi_prime` call
-for its level, once per ``(F, d, level)``.
+Both walls use ``y = Bi(zeta_d) Ai(zeta) - Ai(zeta_d) Bi(zeta)``, which
+vanishes at ``z = d`` (``zeta = F^(1/3) z - lam/F^(2/3)``).  In the Airy phases
+of DLMF 9.8 it is ``M_d M sin(theta_d - theta)``, so level n is the one root
+of the increasing phase ``Delta(lam) = theta_d - theta_0 = n pi`` (DD), or
+``theta_d - phi_0 + pi/2 = (n - 1/2) pi`` (ND), each bracketed by min-max and
+all refined in lockstep.  The norm is closed-form, ``int_0^d y^2 =
+F^(1/3) M_d^2 Delta'/pi``, as ``y(d) = 0`` for every lam.  Eigenfunctions take
+the phase form where both walls are oscillatory (``lam >= F d``), else the
+scaled ``y e^{-xi_d}``, which never overflows.  ``F = 0`` is exact trig.
 """
 
 from __future__ import annotations
@@ -46,16 +42,10 @@ __all__ = [
 ]
 
 LEVEL_REL_TOL = 1e-10          # eigenvalue location accuracy of levels()
-BOUNDARY_RESIDUAL_TOL = 1e-8   # |chi| (or |chi'|) at the endpoints, normalized
-NORM_TOL = 1e-11               # quadrature target for the L2 normalization
+BOUNDARY_RESIDUAL_TOL = 1e-8   # |Delta(lam) - k d|: the z = 0 wall's phase miss
 
-# Widths at which the trig switch and the first 100 trig levels are normal floats.
+# Widths at which the first 100 field-free levels are normal floats.
 MIN_WIDTH, MAX_WIDTH = 1e-100, 1e100
-
-# Below F = 1e-8 * (pi/d)^3 the Airy scaling degenerates numerically; there the
-# levels are the trig ones plus the first-order shift F <z>, whose remainder
-# O((F d^3)^2) is below the rounding of lam.
-_TRIG_SWITCH = 1e-8
 
 # A root is refined until its bracket is narrower than _XTOL + _RTOL * |x|
 # (about four ulp), in at most _MAX_REFINE rounds.
@@ -65,7 +55,7 @@ _MAX_REFINE = 200
 
 
 class SolverError(RuntimeError):
-    """Eigenvalue bracketing/refinement failure; message reports the scan window."""
+    """Eigenvalue bracketing, refinement or wall-check failure; the message names F, d."""
 
 
 @dataclass(frozen=True)
@@ -103,103 +93,83 @@ class TransverseLevel:
     lam: float
 
 
-def _use_trig(params: WaveguideParams) -> bool:
-    return params.F < _TRIG_SWITCH * (math.pi / params.d) ** 3
-
-
-def _trig_lam(d: float, bc: BoundaryType, n: int, F: float = 0.0) -> float:
-    """Field-free level ``k^2`` plus the first-order Stark shift ``F <z>``.
-
-    ``<z>`` is ``d/2`` for ``sin(k z)`` (DD) and ``d/2 - 2d/((2n-1)^2 pi^2)``
-    for ``cos(k z)`` (ND).  At ``F = 0`` the shift adds exactly 0.0.
-    """
+def _trig_lam(d: float, bc: BoundaryType, n: int) -> float:
+    """Field-free level ``k_n^2``: ``k_n = n pi/d`` (DD) or ``(n - 1/2) pi/d`` (ND)."""
     if bc is BoundaryType.DIRICHLET_DIRICHLET:
-        return (n * math.pi / d) ** 2 + F * (0.5 * d)
-    return (((2 * n - 1) * math.pi / (2.0 * d)) ** 2
-            + F * (0.5 * d - 2.0 * d / ((2 * n - 1) * math.pi) ** 2))
+        return (n * math.pi / d) ** 2
+    return ((2 * n - 1) * math.pi / (2.0 * d)) ** 2
 
 
-def _far_wall(params: WaveguideParams, lam, z, derivative: bool):
-    """``y`` at every broadcast ``(lam, z)``, or its derivative in ``zeta``.
+def _far_wall(params: WaveguideParams, lam: float, z, derivative: bool):
+    """``y e^{-xi_d}`` at every ``z``, or its derivative in ``zeta``, from one ``airy_grid`` call.
 
-    With ``zeta = F^(1/3) z - lam / F^(2/3)``, ``e^{-xi}`` and
-    ``e^{xi - 2 xi_d}`` are at most 1 since ``zeta <= zeta_d``.  The slope at
-    ``d`` is ``-e^{-xi_d} / pi`` (Wronskian), so ``chi'(d) < 0``.  One
-    ``airy_grid`` call takes ``zeta_d`` once per ``lam`` and every ``zeta``.
+    ``e^{-xi}`` and ``e^{xi - 2 xi_d}`` are at most 1 since ``zeta <= zeta_d``.
+    The slope at ``d`` is ``-e^{-xi_d} / pi`` (Wronskian), so ``chi'(d) < 0``.
     """
     w = params.F ** (1.0 / 3.0)
-    shift = np.asarray(lam, dtype=np.float64) / w ** 2
-    zeta_d = w * params.d - shift
-    zeta = w * np.asarray(z, dtype=np.float64) - shift
-    k = zeta_d.size
-    ai, aip, bi, bip, xi = specfun.airy_grid(np.concatenate((zeta_d.ravel(), zeta.ravel())))
-    ai_d, bi_d, xi_d = (v[:k].reshape(zeta_d.shape) for v in (ai, bi, xi))
-    a, b, xi = (v[k:].reshape(zeta.shape) for v in ((aip, bip, xi) if derivative else (ai, bi, xi)))
-    return bi_d * a * np.exp(-xi) - ai_d * b * np.exp(xi - 2.0 * xi_d)
+    ai, aip, bi, bip, xi = specfun.airy_grid(w * np.append(params.d, z) - lam / w ** 2)
+    a, b = (aip, bip) if derivative else (ai, bi)
+    out = bi[0] * a[1:] * np.exp(-xi[1:]) - ai[0] * b[1:] * np.exp(xi[1:] - 2.0 * xi[0])
+    return out.reshape(np.shape(z))
 
 
-def _gap_estimate(params: WaveguideParams, lam: float) -> float:
-    """Local eigenvalue spacing from the integrated density of states."""
+def _lead(F: float, lam, z, d: float):
+    """``psi(zeta) - psi(zeta_d)``, ``psi = (2/3) max(-zeta, 0)^(3/2)``, for ``lam >= F z``.
+
+    ``(2/3) (A^(3/2) - B^(3/2)) / F`` with ``A = lam - F z``, ``B = max(lam - F d, 0)``,
+    written with positive terms only, so it keeps full accuracy in weak fields.
+    """
+    a = lam - F * z
+    b = np.maximum(lam - F * d, 0.0)
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    return (2.0 / 3.0) * np.minimum(d - z, a / F) * (a + ra * rb + b) / np.maximum(ra + rb, 1e-300)
+
+
+def _phase(params: WaveguideParams, bc: BoundaryType, lam: np.ndarray, n):
+    """``(Delta - k_n d, Delta', m_d)`` at every ``(lam, n)``, from one ``airy_phase`` call.
+
+    ``Delta = psi_0 - psi_d + b_d - b_0`` (``c_0`` for a Neumann wall), in the
+    terms of :func:`specfun.airy_phase`.
+    """
     F, d = params.F, params.d
-    if F <= 0.0:
-        return 2.0 * math.pi * math.sqrt(lam) / d
-    if lam > F * d:
-        return math.pi * (math.sqrt(lam) + math.sqrt(lam - F * d)) / d
-    return math.pi * F / math.sqrt(lam)
-
-
-def _scan_roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]:
-    """First ``count`` determinant roots: a chunked sign scan, then lockstep refinement.
-
-    The grid steps by an eighth of the local gap, so consecutive levels are
-    always separated by a grid point and each root keeps its index.  Each
-    chunk of grid points costs one determinant call.
-    """
-    # The first level sits at the larger of the box scale (pi/2d)^2 and the
-    # tilted-well scale F^(2/3); evaluating the density-of-states gap there
-    # (rather than at lambda -> 0, where it blows up) keeps the first scan
-    # steps below the bottom eigenvalue spacing.
-    lam_floor = 0.5 * max((math.pi / (2.0 * params.d)) ** 2, 0.5 * params.F ** (2.0 / 3.0))
-    max_steps = 20000 + 500 * count
-
+    w = F ** (1.0 / 3.0)
+    zeta_0 = -lam / w ** 2
+    m, _, b, c, db, dc = specfun.airy_phase(np.concatenate((w * d + zeta_0, zeta_0)))
+    k = lam.size
     nd = bc is BoundaryType.NEUMANN_DIRICHLET
-    brackets = []   # (lo, hi, f_lo, f_hi); an exact grid zero is the bracket (x, x, 0, 0)
-    lam, f_prev = 0.0, np.empty(0)
-    steps, chunk = 0, 8 * count + 16
-    while steps < max_steps:
-        grid = [lam]
-        for _ in range(min(chunk, max_steps - steps)):
-            lam = lam + _gap_estimate(params, max(lam, lam_floor)) / 8.0
-            grid.append(lam)
-        steps += len(grid) - 1
-        f = np.concatenate((f_prev, _far_wall(params, np.array(grid[f_prev.size:]), 0.0, nd)))
-        for i in np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0)):
-            j = i if f[i] == 0.0 else i + 1
-            brackets.append((grid[i], grid[j], f[i], f[j]))
-            if len(brackets) == count:
-                return _refine_roots(params, bc, np.array(brackets))
-        f_prev = f[-1:]
-        chunk *= 2
-    raise SolverError(
-        f"determinant sign changed only {len(brackets)} times in scanned interval [0, {lam}] "
-        f"(requested {count} levels, F={params.F}, d={params.d}, bc={bc.value})"
-    )
+    rem, slope = (c, dc) if nd else (b, db)
+    miss = _lead(F, lam, 0.0, d) + b[:k] - rem[k:] - (n - 0.5 * nd) * math.pi
+    # d/dlam (psi_0 - psi_d) = (sqrt(lam) - sqrt(max(lam - F d, 0))) / F
+    dlead = np.minimum(d, lam / F) / (np.sqrt(lam) + np.sqrt(np.maximum(lam - F * d, 0.0)))
+    return miss, dlead - (db[:k] - slope[k:]) / w ** 2, m[:k]
 
 
-def _refine_roots(params: WaveguideParams, bc: BoundaryType, brackets: np.ndarray) -> list[float]:
-    """Refine every ``(lo, hi, f_lo, f_hi)`` bracket at once by the Illinois method.
+def _roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]:
+    """Levels 1..count for ``F > 0``, each refined in its min-max bracket, all in lockstep.
 
-    Regula falsi that halves the value kept at an endpoint which stays put
-    twice in a row (Dowell & Jarratt, BIT 11, 1971); a secant point outside
-    its bracket falls back to bisection.  Each round costs one determinant
-    call over the brackets still open.  A root is done when the determinant
-    vanishes at it or its bracket is narrower than ``_XTOL + _RTOL * |x|``,
-    the test brentq makes.
+    ``k^2 < lam < (k d/L)^2 + F L`` for ``0 < L <= d``; ``L = (2 (k d)^2/F)^(1/3)``
+    minimizes the bound.  Both ends are pulled out by 16 ``_RTOL``, so that
+    one within rounding of its root (``F d^3`` below about 1e-13) still
+    brackets it.  The Illinois method (Dowell & Jarratt, BIT 11, 1971) is
+    regula falsi that halves the value kept at an endpoint which stays put
+    twice in a row, with bisection for a secant point outside its bracket,
+    until the bracket is narrower than ``_XTOL + _RTOL * |x|`` (brentq's test).
     """
-    a, b, fa, fb = (col.copy() for col in brackets.T)
+    F, d = params.F, params.d
+    n = np.arange(1, count + 1)
+    k = (n - 0.5 * (bc is BoundaryType.NEUMANN_DIRICHLET)) * math.pi / d
+    L = np.minimum(d, np.cbrt(2.0 * (k * d) ** 2) / F ** (1.0 / 3.0))
+    a = k * k * (1.0 - 16 * _RTOL)
+    b = ((k * d / L) ** 2 + F * L) * (1.0 + 16 * _RTOL)
+    fa, fb = np.split(_phase(params, bc, np.concatenate((a, b)), np.tile(n, 2))[0], 2)
+    bad = np.flatnonzero(~((fa < 0.0) & (fb > 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise SolverError(f"level {i + 1} is not bracketed by [{a[i]}, {b[i]}]: the phase "
+                          f"misses {fa[i]:.3g} and {fb[i]:.3g} (F={F}, d={d}, bc={bc.value})")
     x = a.copy()
-    side = np.zeros(a.shape, dtype=np.int8)   # -1: b moved last, +1: a moved last
-    todo = np.flatnonzero(a < b)
+    side = np.zeros(count, dtype=np.int8)   # -1: b moved last, +1: a moved last
+    todo = np.arange(count)
     for _ in range(_MAX_REFINE):
         if not todo.size:
             break
@@ -210,7 +180,7 @@ def _refine_roots(params: WaveguideParams, bc: BoundaryType, brackets: np.ndarra
         nudge = 0.5 * (_XTOL + _RTOL * np.abs(c))
         c = np.minimum(np.maximum(c, lo + nudge), hi - nudge)
         c = np.where((c > lo) & (c < hi), c, lo + 0.5 * (hi - lo))
-        fc = _far_wall(params, c, 0.0, bc is BoundaryType.NEUMANN_DIRICHLET)
+        fc = _phase(params, bc, c, n[todo])[0]
         on_hi = np.sign(fc) == np.sign(fhi)
         on_lo = ~on_hi & (fc != 0.0)
         x[todo] = c
@@ -222,42 +192,52 @@ def _refine_roots(params: WaveguideParams, bc: BoundaryType, brackets: np.ndarra
         done = (fc == 0.0) | (b[todo] - a[todo] < _XTOL + _RTOL * np.abs(c))
         todo = todo[~done]
     if todo.size:
-        raise SolverError(
-            f"root refinement left {todo.size} brackets open after {_MAX_REFINE} rounds "
-            f"(F={params.F}, d={params.d}, bc={bc.value})"
-        )
+        raise SolverError(f"root refinement left {todo.size} brackets open after {_MAX_REFINE} "
+                          f"rounds (F={F}, d={d}, bc={bc.value})")
     return x.tolist()
 
 
 @lru_cache(maxsize=128)
 def _scale(F: float, d: float, level: TransverseLevel) -> float:
-    """Positive factor that gives ``level``'s far-wall solution unit L2 norm, memoized.
+    """Positive factor that gives ``level``'s ``y e^{-xi_d}`` unit L2 norm, memoized.
 
-    Raises :class:`SolverError` when the normalized eigenfunction misses the
-    ``z = 0`` wall condition, ``chi(0) d^(1/2)`` (DD) or ``chi'(0) d^(3/2)``
-    (ND), which the scaling law leaves unchanged, by more than
-    ``BOUNDARY_RESIDUAL_TOL``; ``chi(d) = 0`` holds by construction.
+    ``sqrt(2/d)`` at ``F = 0``, else ``sqrt(pi / (F^(1/3) Delta')) / m_d``.
+    Raises :class:`SolverError` when ``lam`` misses its phase equation by more
+    than ``BOUNDARY_RESIDUAL_TOL``: the z = 0 wall's miss, measured in phase,
+    which is free of scale; ``chi(d) = 0`` holds by construction.
     """
-    params = WaveguideParams(F=F, d=d)
-    if _use_trig(params):
+    if F == 0.0:
         return math.sqrt(2.0 / d)
-    scale = 1.0 / _l2_norm(params, level.lam)
-    nd = level.bc is BoundaryType.NEUMANN_DIRICHLET
-    wall = abs(float(_far_wall(params, level.lam, 0.0, nd))) * (F ** (1.0 / 3.0) * d if nd else 1.0)
-    residual = scale * math.sqrt(d) * wall
-    if residual > BOUNDARY_RESIDUAL_TOL:
+    miss, slope, m_d = (float(v[0]) for v in _phase(WaveguideParams(F=F, d=d), level.bc,
+                                                    np.array([level.lam]), level.n))
+    if not abs(miss) <= BOUNDARY_RESIDUAL_TOL:
         raise SolverError(f"level {level.n} ({level.bc.value}) misses the z=0 wall condition by "
-                          f"{residual:.3g} > {BOUNDARY_RESIDUAL_TOL:g} (F={F}, d={d})")
-    return scale
+                          f"{abs(miss):.3g} > {BOUNDARY_RESIDUAL_TOL:g} (F={F}, d={d})")
+    return math.sqrt(math.pi / (F ** (1.0 / 3.0) * slope)) / m_d
+
+
+def _phase_form(params: WaveguideParams, level: TransverseLevel, z: np.ndarray, derivative: bool):
+    """``y e^{-xi_d}`` or its z-derivative for ``lam >= F d``, in the phase form, from one call.
+
+    ``m_d M sin(theta_d - theta)``, or ``-F^(1/3) m_d N cos(theta_d - phi - pi/2)``.
+    """
+    F, d, lam = params.F, params.d, level.lam
+    w = F ** (1.0 / 3.0)
+    zs = z.ravel()
+    m, n, b, c, _, _ = specfun.airy_phase(np.concatenate(([w * d], w * zs)) - lam / w ** 2)
+    lead = _lead(F, lam, zs, d) + b[0]
+    out = -w * n[1:] * np.cos(lead - c[1:]) if derivative else m[1:] * np.sin(lead - b[1:])
+    return (m[0] * out).reshape(z.shape)
 
 
 def _chi(level: TransverseLevel, params: WaveguideParams, z, derivative: bool):
     z_arr = np.asarray(z, dtype=np.float64)
-    if _use_trig(params):
-        # The far-wall solution is sin(k (d - z)) for both walls, on the
-        # field-free wavenumber.
+    if params.F == 0.0:
+        # The far-wall solution is sin(k (d - z)) for both walls.
         k = math.sqrt(_trig_lam(params.d, level.bc, level.n))
         out = -k * np.cos(k * (params.d - z_arr)) if derivative else np.sin(k * (params.d - z_arr))
+    elif level.lam >= params.F * params.d:
+        out = _phase_form(params, level, z_arr, derivative)
     else:
         w = params.F ** (1.0 / 3.0) if derivative else 1.0
         out = w * _far_wall(params, level.lam, z_arr, derivative)
@@ -275,49 +255,19 @@ def chi_prime(level: TransverseLevel, params: WaveguideParams, z):
     return _chi(level, params, z, derivative=True)
 
 
-def _l2_norm(params: WaveguideParams, lam: float) -> float:
-    """L2 norm over [0, d] of the far-wall solution at ``lam``, by refining composite Simpson.
-
-    The panel count doubles until two rounds agree to ``NORM_TOL``; past
-    131072 panels the last round's value stands.  For F > 0 it stops 40 Airy
-    lengths ``F^(-1/3)`` past the turning point ``lam/F``, where ``|y| < e^-168``.
-    """
-    d = params.d
-    if params.F > 0.0:
-        d = min(d, lam / params.F + 40.0 / params.F ** (1.0 / 3.0))
-
-    def sq_on(npanels):
-        z = np.linspace(0.0, d, 2 * npanels + 1)
-        vals = _far_wall(params, lam, z, derivative=False) ** 2
-        return d / (2 * npanels) / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1::2].sum()
-                                          + 2.0 * vals[2:-1:2].sum())
-
-    n = 256
-    prev = sq_on(n)
-    while n <= 65536:
-        n *= 2
-        cur = sq_on(n)
-        if abs(cur - prev) <= NORM_TOL * max(abs(cur), 1e-300):
-            break
-        prev = cur
-    return math.sqrt(cur)
-
-
 def levels(params: WaveguideParams, bc: BoundaryType, count: int) -> list[TransverseLevel]:
-    """First ``count`` transverse eigenvalues in increasing order, located to 1e-10 relative.
+    """First ``count`` transverse eigenvalues in increasing order.
 
-    Except in the weak field just above the trig switch: up to 2e-6 relative
-    off at F = 3.13e-7, d = 1.  Below it (``F < 1e-8 (pi/d)^3``) a level is the
-    trig one plus the first-order shift ``F <z>``, within 1e-13 of the Airy
-    determinant's root.
+    For ``F > 0`` each is the root of its phase equation, to about four ulp;
+    at ``F = 0`` each is the exact ``k_n^2``.
     """
     count = int(count)
     if not 1 <= count <= 100:
         raise ValueError("count must be in 1..100")
-    if _use_trig(params):
-        lams = [_trig_lam(params.d, bc, n, params.F) for n in range(1, count + 1)]
+    if params.F == 0.0:
+        lams = [_trig_lam(params.d, bc, n) for n in range(1, count + 1)]
     else:
-        lams = _scan_roots(params, bc, count)
+        lams = _roots(params, bc, count)
     return [TransverseLevel(n=n, bc=bc, lam=lam) for n, lam in enumerate(lams, start=1)]
 
 

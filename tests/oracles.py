@@ -221,24 +221,28 @@ def cutoff_dilated_prime(r, b, tau):
     return np.where(tail, cutoff_profile_prime(s, b) * tau / r, 0.0)
 
 
-def dd_ground_state(F, d, dps=30):
-    """(lam, chi, chi') of the Dirichlet-Dirichlet ground state on [0, d] in the field F.
+def ground_state(F, d, neumann, dps=30):
+    """(lam, chi, chi') of the ground state on [0, d] in the field F, Dirichlet at z = d.
 
-    For F > 0, ``chi`` is ``Ai(zeta) Bi(zeta_d) - Bi(zeta) Ai(zeta_d)``, with
+    The wall at z = 0 is Dirichlet, or Neumann if ``neumann``.  For F > 0,
+    ``chi`` is ``Ai(zeta) Bi(zeta_d) - Bi(zeta) Ai(zeta_d)``, with
     ``zeta = F^(1/3) (z - lam/F)`` and the wall pair (Ai, Bi)(zeta_d) scaled
     to a unit vector.  It vanishes at z = d for every lam; lam is the root of
-    its value at z = 0, bracketed by the lower bounds
-    max((pi/d)^2, F^(2/3)|a_1|) of the ground level and
-    max(4 (pi/d)^2, F^(2/3)|a_2|) of the second.  ``chi`` is normalized by
-    quadrature split at the turning point min(lam/F, d).
+    its value (Dirichlet) or slope (Neumann) at z = 0, bracketed by the lower
+    bounds max(k^2, F^(2/3)|t_1|) of the ground level and
+    max(k_2^2, F^(2/3)|t_2|) of the second, with ``k = pi/d``, ``k_2 = 2 pi/d``
+    and ``t`` the zeros of Ai (Dirichlet), or ``k = pi/(2d)``, ``k_2 = 3 pi/(2d)``
+    and the zeros of Ai' (Neumann).  ``chi`` is normalized by quadrature split
+    at the turning point min(lam/F, d).
     """
     with mp.workdps(dps):
         F, d = mp.mpf(F), mp.mpf(d)
+        derivative = 1 if neumann else 0
+        k = mp.pi / (2 * d) if neumann else mp.pi / d
         if F == 0:
-            lam = (mp.pi / d) ** 2
             amp = mp.sqrt(2 / d)
-            return (lam, lambda z: amp * mp.sin(mp.pi * z / d),
-                    lambda z: amp * mp.pi / d * mp.cos(mp.pi * z / d))
+            return (k * k, lambda z: amp * mp.sin(k * (d - z)),
+                    lambda z: -amp * k * mp.cos(k * (d - z)))
         w = mp.cbrt(F)
 
         def shape(lam):
@@ -254,17 +258,30 @@ def dd_ground_state(F, d, dps=30):
                         - mp.airybi(zeta, derivative) * ai_d) * w ** derivative
             return f
 
-        trig = (mp.pi / d) ** 2
+        def wall(lam):
+            return shape(lam)(0, derivative)
+
+        second = (3 if neumann else 2) * k
         # The bounds are sharp up to exp(-(4/3) zeta_d^(3/2)) at strong field,
         # so both are pulled in by 1e-6 to give the root a sign change.
-        lo = max(trig, w * w * -mp.airyaizero(1)) * (1 - mp.mpf(10) ** -6)
-        hi = max(4 * trig, w * w * -mp.airyaizero(2)) * (1 - mp.mpf(10) ** -6)
-        assert shape(lo)(0) * shape(hi)(0) < 0, "ground level not bracketed"
-        lam = mp.findroot(lambda x: shape(x)(0), (lo, hi), solver="anderson")
+        lo = max(k * k, w * w * -mp.airyaizero(1, derivative)) * (1 - mp.mpf(10) ** -6)
+        hi = max(second ** 2, w * w * -mp.airyaizero(2, derivative)) * (1 - mp.mpf(10) ** -6)
+        assert wall(lo) * wall(hi) < 0, "ground level not bracketed"
+        lam = mp.findroot(wall, (lo, hi), solver="anderson")
         assert lo <= lam < hi
         f = shape(lam)
         norm = mp.sqrt(mp.quad(lambda z: f(z) ** 2, [0, min(lam / F, d), d]))
         return lam, lambda z: f(z) / norm, lambda z: f(z, 1) / norm
+
+
+def dd_ground_state(F, d, dps=30):
+    """:func:`ground_state` with Dirichlet walls at both ends."""
+    return ground_state(F, d, False, dps)
+
+
+def nd_ground_state(F, d, dps=30):
+    """:func:`ground_state` with a Neumann wall at z = 0."""
+    return ground_state(F, d, True, dps)
 
 
 def weak_field_level(F, d, neumann, n, dps=40):
@@ -292,6 +309,47 @@ def weak_field_level(F, d, neumann, n, dps=40):
         lo, hi = k * k + F * d / 4, k * k + 3 * F * d / 4
         assert det(lo) * det(hi) < 0, "weak-field level not bracketed"
         lam = mp.findroot(det, (lo, hi), solver="anderson")
+        assert lo <= lam <= hi
+        return lam
+
+
+def _airy_phase(x, derivative):
+    """arg(Ai + i Bi) (or arg(Ai' + i Bi')) at x, continuous in x: pi/2 at +inf.
+
+    The branch is the one nearest pi/4 - (2/3)|x|^(3/2) (3 pi/4 - ... for the
+    derivative), the leading term of DLMF 9.8.20, which is within 0.3 of the
+    phase on the whole line.
+    """
+    a = mp.atan2(mp.airybi(x, derivative), mp.airyai(x, derivative))
+    lead = (3 if derivative else 1) * mp.pi / 4 - 2 * max(-x, 0) ** mp.mpf(1.5) / 3
+    return a + 2 * mp.pi * mp.nint((lead - a) / (2 * mp.pi))
+
+
+def transverse_level(F, d, neumann, n, dps=40):
+    """The n-th transverse level on [0, d] at a field F > 0, as the root of its phase equation.
+
+    With ``theta = arg(Ai + i Bi)`` and ``phi = arg(Ai' + i Bi')``, the
+    solution ``Ai(zeta) Bi(zeta_d) - Bi(zeta) Ai(zeta_d)`` is
+    ``M_d M sin(theta_d - theta)``, so level n is where
+    ``theta(zeta_d) - theta(zeta_0)`` reaches ``n pi`` (Dirichlet) or
+    ``theta(zeta_d) - phi(zeta_0)`` reaches ``(n - 1) pi`` (Neumann), which
+    the phase crosses once.  The root lies between the field-free ``k^2`` and
+    the min-max bound ``(k d/L)^2 + F L``, ``L = min(d, (2 (k d)^2/F)^(1/3))``.
+    """
+    with mp.workdps(dps):
+        F, d = mp.mpf(F), mp.mpf(d)
+        w = mp.cbrt(F)
+        k = (n - mp.mpf(1) / 2 if neumann else n) * mp.pi / d
+        target = (n - 1 if neumann else n) * mp.pi
+
+        def miss(lam):
+            zeta_0 = -lam / w ** 2
+            return _airy_phase(w * d + zeta_0, 0) - _airy_phase(zeta_0, int(neumann)) - target
+
+        length = min(d, mp.cbrt(2 * (k * d) ** 2 / F))
+        lo, hi = k * k, (k * d / length) ** 2 + F * length
+        assert miss(lo) < 0 < miss(hi), "level not bracketed"
+        lam = mp.findroot(miss, (lo, hi), solver="anderson")
         assert lo <= lam <= hi
         return lam
 

@@ -10,8 +10,10 @@ Certificates take the dimensionless field F*d^3 from {0} and
 log-uniformly from [1e-9, 1e8], and a/d log-uniformly from [3e-3, 30];
 strong-field certificates take F*d^3 log-uniformly from [1e8, 1e30] and a
 log-uniformly from [0.1, 10].
-Eigenfunctions take levels n <= 10 at F = 0, below the trig switch, or
-log-uniform over [1e-2, 1e6].
+Eigenfunctions take levels n <= 10 at F = 0, below 1e-8 (pi/d)^3, or
+log-uniform over [1e-2, 1e6].  Levels n <= 20 meet mpmath's roots for F
+log-uniform over [1e-12, 1e-3] (pi/d)^3 or F*d^3 over [1e-2, 1e4], and the
+ground wall values their Airy limits for F*d^3 log-uniform over [1e8, 1e200].
 Bessel zeros are read in random order from up to three orders m <= 64, at
 indices k <= 300, so one table is filled both from the shipped prefix
 (k <= 100) and from scipy.  CLI invocations take the benchmark's ranges:
@@ -36,6 +38,8 @@ from scipy.special import jn_zeros
 
 from starklayer import bracket, certify, cli, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
+
+import oracles
 
 DD = BoundaryType.DIRICHLET_DIRICHLET
 ND = BoundaryType.NEUMANN_DIRICHLET
@@ -65,6 +69,29 @@ def test_scaling_law(F, d, s, bc):
     assert scaled == pytest.approx(lam, rel=2 * transverse.LEVEL_REL_TOL)
 
 
+@st.composite
+def _fields_for_levels(draw):
+    """(F, d): F log-uniform over [1e-12, 1e-3] (pi/d)^3, or F d^3 over [1e-2, 1e4]."""
+    d = draw(WIDTHS)
+    if draw(st.booleans()):
+        return 10.0 ** draw(st.floats(-12.0, -3.0)) * (math.pi / d) ** 3, d
+    return 10.0 ** draw(st.floats(-2.0, 4.0)) / d ** 3, d
+
+
+@settings(PROPERTY, max_examples=40)
+@given(Fd=_fields_for_levels(), bc=WALLS, n=st.integers(1, 20))
+@example(Fd=(3.2e-7, 1.0), bc=DD, n=20)
+@example(Fd=(1e-12 * math.pi ** 3, 1.0), bc=ND, n=1)
+@example(Fd=(1e-2, 1.0), bc=DD, n=20)
+@example(Fd=(1e4 / 64.0, 4.0), bc=ND, n=20)
+def test_levels_match_the_mpmath_phase_roots(Fd, bc, n):
+    # The weak-field rows were up to 7.5e-7 relative off (n = 20 at
+    # F d^3 = 3.2e-7) when the levels came from a sign scan of the determinant.
+    F, d = Fd
+    lam = _lams(F, d, bc, n)[-1]
+    assert abs(lam / float(oracles.transverse_level(F, d, bc is ND, n)) - 1.0) <= 1e-13
+
+
 @PROPERTY
 @given(F=FIELDS, d=WIDTHS, bc=WALLS)
 def test_levels_strictly_increasing(F, d, bc):
@@ -82,9 +109,9 @@ def test_mixed_and_dirichlet_levels_interlace(F, d):
 
 @st.composite
 def _fields_in_every_regime(draw):
-    """(F, d): F = 0, below the trig switch at d, or log-uniform over [1e-2, 1e6]."""
+    """(F, d): F = 0, below 1e-8 (pi/d)^3, or log-uniform over [1e-2, 1e6]."""
     d = draw(WIDTHS)
-    switch = transverse._TRIG_SWITCH * (math.pi / d) ** 3
+    switch = 1e-8 * (math.pi / d) ** 3
     F = draw(st.just(0.0)
              | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda u: u * switch)
              | st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e))
@@ -178,6 +205,21 @@ def test_certificate_is_negative_and_matches_its_decomposition(u, d, r):
     spec = cert.spec
     decomposition = cert.coeff_A * spec.tau + cert.coeff_B * spec.eps ** 2 - cert.coeff_C * spec.eps
     assert abs(cert.q_value - decomposition) <= 1e-6 * abs(cert.q_value)
+
+
+@PROPERTY
+@given(u=st.floats(8.0, 200.0).map(lambda e: 10.0 ** e), d=WIDTHS)
+@example(u=1e8, d=0.5)
+@example(u=1e200, d=4.0)
+def test_strong_field_wall_values_are_the_airy_limits(u, d):
+    # For F d^3 >= 1e8 the far wall decouples up to e^-(4/3)(F d^3)^(1/2):
+    # chi_1'(0) = F^(1/2) (DD) and chi_1(0) = (F^(1/3)/|a'_1|)^(1/2) (ND).
+    F = u / d ** 3
+    p = WaveguideParams(F=F, d=d)
+    dd, nd = (transverse.levels(p, bc, 1)[0] for bc in (DD, ND))
+    aip_1 = float(-mp.airyaizero(1, derivative=1))
+    assert abs(transverse.chi_prime(dd, p, 0.0) / math.sqrt(F) - 1.0) <= 1e-13
+    assert abs(transverse.chi(nd, p, 0.0) / math.sqrt(F ** (1.0 / 3.0) / aip_1) - 1.0) <= 1e-13
 
 
 @PROPERTY

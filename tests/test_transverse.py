@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from starklayer import bracket, fd2d, specfun, transverse
 from starklayer.transverse import BoundaryType, WaveguideParams
@@ -27,15 +26,25 @@ def test_params_validation():
 
 
 def test_layer_width_range():
-    # Inside [1e-100, 1e100] the trig switch and the first 100 levels are
-    # finite normal floats; outside, the width is refused with the range.
+    # Inside [1e-100, 1e100] the first 100 levels are finite normal floats,
+    # with or without a field; outside, the width is refused with the range.
     for d, lam_100 in ((1e-100, (100 * PI * 1e100) ** 2), (1e100, (100 * PI * 1e-100) ** 2)):
         p = WaveguideParams(F=0.0, d=d)
-        switch = transverse._TRIG_SWITCH * (PI / d) ** 3
-        assert sys.float_info.min <= switch < math.inf and transverse._use_trig(p)
         lam = [lvl.lam for lvl in transverse.levels(p, DD, 100)]
         assert lam[-1] == pytest.approx(lam_100, rel=1e-14)
         assert all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in lam)
+        for F in (1e-8 / d ** 3, 1.0 / d ** 3, 1e8 / d ** 3):   # F d^3 = 1e-8, 1, 1e8
+            pf = WaveguideParams(F=F, d=d)
+            for bc in (DD, ND):
+                lam_f = [lvl.lam for lvl in transverse.levels(pf, bc, 100)]
+                assert all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in lam_f)
+                assert all(a < b for a, b in zip(lam_f, lam_f[1:]))
+                # The scaling law: the same spectrum as at d = 1, in units of d.
+                unit = [lvl.lam for lvl in transverse.levels(WaveguideParams(F=F * d ** 3, d=1.0),
+                                                             bc, 100)]
+                assert [v * d * d for v in lam_f] == pytest.approx(unit, rel=1e-13)
+                ground = transverse.levels(pf, bc, 1)[0]
+                assert math.isfinite(transverse.chi(ground, pf, 0.5 * d))
     for d in (math.nextafter(1e-100, 0.0), math.nextafter(1e100, math.inf), 1e-103, 1e106):
         with pytest.raises(ValueError, match=r"\[1e-100, 1e\+100\]"):
             WaveguideParams(F=0.0, d=d)
@@ -161,11 +170,11 @@ def test_weak_field_formula_tracks_exact_dirichlet():
 @pytest.mark.parametrize("d", [0.5, 1.0, 4.0])
 @pytest.mark.parametrize("fraction", [0.9, 1e-3])
 def test_levels_below_the_trig_switch_carry_the_stark_shift(d, fraction):
-    # Below the switch a level is k^2 + F <z>; the field-free k^2 alone was
-    # up to 3.6e-8 relative off (ND n = 1 at d = 1, F = 3e-7).
-    F = fraction * transverse._TRIG_SWITCH * (PI / d) ** 3
+    # Fields below 1e-8 (pi/d)^3, where a trig branch once stood in for the
+    # Airy solve: the field-free k^2 alone was up to 3.6e-8 relative off (ND
+    # n = 1 at d = 1, F = 3e-7).
+    F = fraction * 1e-8 * (PI / d) ** 3
     p = WaveguideParams(F=F, d=d)
-    assert transverse._use_trig(p)
     for bc in (DD, ND):
         lams = [lvl.lam for lvl in transverse.levels(p, bc, 20)]
         for n in (1, 7, 13, 20):
@@ -236,23 +245,60 @@ def test_levels_count_validation():
 
 
 def test_bracketing_failure_reports_interval(monkeypatch):
-    monkeypatch.setattr(transverse, "_far_wall", lambda params, lam, z, derivative: np.ones_like(lam))
-    monkeypatch.setattr(transverse, "_gap_estimate", lambda *a: 8.0)
-    with pytest.raises(transverse.SolverError, match="scanned interval"):
-        transverse._scan_roots(WaveguideParams(F=1.0, d=1.0), DD, 1)
+    # A phase that never reaches its target leaves the min-max bracket
+    # without a sign change; the error names the bracket, F, d and the walls.
+    def flat(params, bc, lam, n):
+        return np.full(lam.shape, -1.0), np.ones(lam.shape), np.ones(lam.shape)
+
+    monkeypatch.setattr(transverse, "_phase", flat)
+    with pytest.raises(transverse.SolverError,
+                       match=r"level 1 is not bracketed by \[.*\].*\(F=1\.0, d=2\.0, "
+                             r"bc=dirichlet-dirichlet\)"):
+        transverse.levels(WaveguideParams(F=1.0, d=2.0), DD, 3)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-3])
 def test_boundary_residual_is_enforced(s):
-    # The same weak-field problem in units of s.  Its tenth ND level is off by
-    # about 1e-7 relative, and chi'(0) d^(3/2) = 1.3e-7 shows it; the ground
-    # level meets the wall to 1e-12 (1e-12 d^(-3/2) = 3e-8 unscaled at s = 1e-3).
+    # The same weak-field problem in units of s.  A tenth ND level 1e-7
+    # relative off misses its phase by about 1.5e-6, which the check refuses;
+    # the ground level meets the wall to 1e-12 (1e-12 d^(-3/2) = 3e-8
+    # unscaled at s = 1e-3).
     p = WaveguideParams(F=3.2e-7 / s ** 3, d=s)
     ground, *_, excited = transverse.levels(p, ND, 10)
+    off = transverse.TransverseLevel(n=10, bc=ND, lam=excited.lam * (1.0 + 1e-7))
     with pytest.raises(transverse.SolverError,
-                       match=rf"level 10 .* by 1\.25e-07 > 1e-08 \(F={p.F}, d={p.d}\)"):
-        transverse.chi(excited, p, 0.5 * s)
+                       match=rf"level 10 .* by 1\.4\de-06 > 1e-08 \(F={p.F}, d={p.d}\)"):
+        transverse.chi(off, p, 0.5 * s)
     assert abs(transverse.chi_prime(ground, p, 0.0)) * s ** 1.5 <= transverse.BOUNDARY_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("kappa", [3e-7, 1e-4, 1e-1, 10.0, 1e3])
+@pytest.mark.parametrize("d", [1.0, PI])
+def test_ground_wall_values_match_mpmath(kappa, d):
+    # chi_1'(0) (DD), which the certificate's C reads, and chi_1(0) (ND) from
+    # the closed-form norm.  Simpson's norm was 2.7e-9 off (DD) at
+    # F d^3 = 3.2e-7 and 1.9e-13 off (ND) at F d^3 >= 10.
+    F = kappa / d ** 3
+    p = WaveguideParams(F=F, d=d)
+    _, _, dchi = oracles.dd_ground_state(F, d)
+    _, chi, _ = oracles.nd_ground_state(F, d)
+    dd, nd = (transverse.levels(p, bc, 1)[0] for bc in (DD, ND))
+    assert abs(transverse.chi_prime(dd, p, 0.0) / float(dchi(0)) - 1.0) <= 1e-13
+    assert abs(transverse.chi(nd, p, 0.0) / float(chi(0)) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("bc, kappa", [(ND, 1e15), (ND, 1e18), (ND, 1e30), (DD, 1e100)])
+def test_strong_field_eigenfunctions_raise_no_solver_error(bc, kappa):
+    # The wall check once measured chi(0) d^(1/2) or chi'(0) d^(3/2) on the
+    # width d, not on chi's own length F^(-1/3), and refused these correct
+    # levels; the phase miss is free of scale.
+    p = WaveguideParams(F=kappa, d=1.0)
+    level = transverse.levels(p, bc, 1)[0]
+    if bc is DD:
+        assert abs(transverse.chi_prime(level, p, 0.0) / math.sqrt(kappa) - 1.0) <= 1e-13
+    else:
+        limit = math.sqrt(kappa ** (1.0 / 3.0) / 1.0187929716474710890)   # |a'_1|
+        assert abs(transverse.chi(level, p, 0.0) / limit - 1.0) <= 1e-13
 
 
 @pytest.fixture
@@ -285,6 +331,19 @@ def test_ground_levels_airy_call_budget(airy_calls):
         for bc in (DD, ND):
             transverse.levels(WaveguideParams(F=F, d=PI), bc, 1)
     assert airy_calls[0] <= 102
+
+
+@pytest.mark.parametrize("bc", [DD, ND])
+@pytest.mark.parametrize("F", [1e-9, 1.0, 10.0, 1e12])
+def test_one_normalization_costs_one_airy_call_on_two_points(airy_calls, F, bc):
+    # The closed-form norm reads the two walls only, on the phase form
+    # (lam >= F d) and on the far-wall form alike.
+    p = WaveguideParams(F=F, d=1.0)
+    for level in transverse.levels(p, bc, 3):
+        transverse._scale.cache_clear()
+        airy_calls[:] = [0, 0]
+        assert transverse._scale(F, 1.0, level) > 0.0
+        assert airy_calls[0] <= 1 and airy_calls[1] <= 2
 
 
 def test_ground_level_solved_once_per_field_and_width(monkeypatch):
@@ -338,7 +397,7 @@ def test_chi_warns_no_overflow_and_matches_masked_reference(F, d, bc):
     p = WaveguideParams(F=F, d=d)
     z = np.linspace(0.0, d, 257)
     (lvl,) = transverse.levels(p, bc, 1)
-    assert not transverse._use_trig(p)
+    assert lvl.lam < F * d   # the far-wall branch, which the reference models
     for deriv, fn in ((False, transverse.chi), (True, transverse.chi_prime)):
         got, ref = fn(lvl, p, z), _masked_chi_reference(p, lvl, z, deriv)
         # At a wall chi or chi' is a rounding of 0, which the two formulas round
@@ -348,30 +407,14 @@ def test_chi_warns_no_overflow_and_matches_masked_reference(F, d, bc):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
-def _reference_roots(params, bc, count):
-    """The scan one grid point at a time, each bracket refined alone by brentq."""
-    def det(t):
-        return float(transverse._far_wall(params, t, 0.0, bc is ND))
-
-    floor = 0.5 * max((PI / (2.0 * params.d)) ** 2, 0.5 * params.F ** (2.0 / 3.0))
-    roots, lam, f_prev = [], 0.0, det(0.0)
-    while len(roots) < count:
-        lam_next = lam + transverse._gap_estimate(params, max(lam, floor)) / 8.0
-        f_next = det(lam_next)
-        if f_prev == 0.0:
-            roots.append(lam)
-        elif f_prev * f_next < 0.0:
-            roots.append(brentq(det, lam, lam_next, xtol=1e-300, rtol=8.9e-16, maxiter=200))
-        lam, f_prev = lam_next, f_next
-    return roots[:count]
-
-
 @pytest.mark.parametrize("bc", [DD, ND])
 @pytest.mark.parametrize("F", [1e-2, 1.0, 1e4])
 def test_lockstep_roots_match_scalar_reference(F, bc):
+    # Against each root alone, found by mpmath on the phase equation.
     p = WaveguideParams(F=F, d=1.0)
     lam = [lvl.lam for lvl in transverse.levels(p, bc, 5)]
-    assert lam == pytest.approx(_reference_roots(p, bc, 5), rel=1e-12)
+    want = [float(oracles.transverse_level(F, 1.0, bc is ND, n)) for n in range(1, 6)]
+    assert lam == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("bc", [DD, ND])
