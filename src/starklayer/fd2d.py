@@ -86,8 +86,9 @@ class ConvergenceError(RuntimeError):
 class CylGrid:
     """Tensor grid: nr radial cells on (0, r_max], nz vertical cells on [0, d].
 
-    Spacings lie in [1e-154, 1e154], where their squares and inverse squares
-    are finite and nonzero.
+    ``8 <= nr, nz <= 2048``: the solvers hold dense nr x nr and nz x nz
+    factors, 34 MB each at the cap.  Spacings lie in [1e-154, 1e154], where
+    their squares and inverse squares are finite and nonzero.
     """
 
     nr: int
@@ -96,8 +97,8 @@ class CylGrid:
     d: float
 
     def __post_init__(self):
-        if self.nr < 8 or self.nz < 8:
-            raise ValueError("grid needs nr >= 8 and nz >= 8")
+        if not (8 <= self.nr <= 2048 and 8 <= self.nz <= 2048):
+            raise ValueError(f"grid needs 8 <= nr, nz <= 2048, got nr={self.nr}, nz={self.nz}")
         for name, h in (("h_r", self.h_r), ("h_z", self.h_z)):
             if not 1e-154 <= h <= 1e154:
                 raise ValueError(f"grid spacing {name}={h!r} outside [1e-154, 1e154]")

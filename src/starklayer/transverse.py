@@ -277,12 +277,16 @@ def fd_levels_oracle(params: WaveguideParams, bc: BoundaryType, count: int, node
     Dirichlet walls drop the boundary node; the Neumann wall keeps it with a
     reflected ghost (equivalently, half trapezoid mass), symmetrized by the
     diagonal similarity.  Computed by LAPACK bisection on Sturm sequences.
-    Converges O(h^2) to :func:`levels`.
+    Converges O(h^2) to :func:`levels`.  ``nodes`` is capped at 10^6 (tens of
+    MB of work arrays), and ``count`` at the unknowns.
     """
     nodes = int(nodes)
-    if nodes < 100:
-        raise ValueError("nodes must be >= 100")
+    if not 100 <= nodes <= 1_000_000:
+        raise ValueError(f"nodes must be in 100..1000000, got {nodes}")
     count = int(count)
+    unknowns = nodes - 1 if bc is BoundaryType.DIRICHLET_DIRICHLET else nodes
+    if count > unknowns:
+        raise ValueError(f"count {count} exceeds the {unknowns} unknowns of {nodes} nodes")
     h = params.d / nodes
     inv_h2 = 1.0 / (h * h)
     if bc is BoundaryType.DIRICHLET_DIRICHLET:

@@ -152,6 +152,27 @@ def test_solve2d_refuses_a_grid_spacing_out_of_range(capsys, argv, message):
     assert captured.err == message
 
 
+_FD_LEVELS = ["levels", "--F", "1", "--d", "1", "--bc", "dirichlet", "--method", "fd"]
+_WINDOW = ["solve2d", "--F", "1", "--d", "1", "--a", "1", "--problem", "window"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_FD_LEVELS + ["--nodes", "1000001"], "error: nodes must be in 100..1000000, got 1000001\n"),
+    (_FD_LEVELS + ["--nodes", "100", "--count", "100"],
+     "error: count 100 exceeds the 99 unknowns of 100 nodes\n"),
+    (_WINDOW + ["--nr", "2049"], "error: grid needs 8 <= nr, nz <= 2048, got nr=2049, nz=64\n"),
+    (_WINDOW + ["--nz", "2049"], "error: grid needs 8 <= nr, nz <= 2048, got nr=64, nz=2049\n"),
+], ids=["nodes", "count", "nr", "nz"])
+def test_sizes_past_their_caps_are_refused(capsys, argv, message):
+    # --nodes 1e8 filled memory and --nr 1e5 would ask for 80 GB of dense
+    # factors; a count past the unknowns surfaced scipy's own message.  Each
+    # is refused at its cap + 1, by name, before any array of that size.
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 @pytest.mark.parametrize("argv", [
     ["bracket", "--F", "0", "--d", "1", "--a", "1", "--below", "nan"],
     ["bracket", "--F", "0", "--d", "1", "--a", "1", "--below", "inf"],

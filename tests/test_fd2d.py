@@ -76,6 +76,17 @@ def test_grid_refuses_extents_and_spacings_out_of_range(r_max, d):
         fd2d.CylGrid(8, 8, r_max, d)
 
 
+def test_grid_refuses_sizes_past_the_cap():
+    # The solvers hold dense nr x nr and nz x nz factors: 2048 cells per
+    # axis is the cap, for solve2d and window_ground_state alike.
+    assert fd2d.CylGrid(2048, 2048, 1.0, 1.0).nr == 2048
+    for nr, nz in ((2049, 8), (8, 2049)):
+        with pytest.raises(ValueError, match="grid needs 8 <= nr, nz <= 2048"):
+            fd2d.CylGrid(nr, nz, 1.0, 1.0)
+    with pytest.raises(ValueError, match="got nr=2049, nz=128"):
+        fd2d.window_ground_state(WaveguideParams(F=1.0, d=1.0, a=1.0), nr=2049)
+
+
 def test_grid_spacing_range_keeps_squares_and_inverse_squares_finite():
     for h in (1e-154, 1e154):
         grid = fd2d.CylGrid(8, 8, 8 * h, 1.0)

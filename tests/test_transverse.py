@@ -90,6 +90,16 @@ def test_fd_oracle_validates_nodes():
         transverse.fd_levels_oracle(WaveguideParams(F=0.0, d=1.0), DD, 1, 50)
 
 
+def test_fd_oracle_caps_nodes_and_count():
+    p = WaveguideParams(F=1.0, d=1.0)
+    with pytest.raises(ValueError, match=r"nodes must be in 100\.\.1000000, got 1000001"):
+        transverse.fd_levels_oracle(p, DD, 1, 1_000_001)
+    # Dirichlet walls keep nodes - 1 unknowns, a Neumann wall keeps nodes.
+    with pytest.raises(ValueError, match="count 100 exceeds the 99 unknowns of 100 nodes"):
+        transverse.fd_levels_oracle(p, DD, 100, 100)
+    assert len(transverse.fd_levels_oracle(p, ND, 100, 100)) == 100
+
+
 def test_mixed_below_dirichlet_ordering():
     for F in (0.0, 0.5, 1.0, 5.0, 50.0):
         for d in (1.0, PI):
