@@ -24,14 +24,13 @@ Evaluation strategy
   the far piece's phase rows, unreduced, with their Chebyshev derivative.
 * Airy zeros: ``scipy.special.ai_zeros``, which returns the first n zeros
   of Ai and of Ai'; the n-th is read from one cached ``ai_zeros(max(n, 100))``.
-* Bessel zeros: ``scipy.special.jn_zeros``, behind the order and index caps.
-  Its first 100 zeros of every order ``m <= 64`` ship with the package in
-  ``_jn_zeros.npy``; a zero of index above 100 reads one cached
-  ``jn_zeros(m, 1000)`` of its order.  ``merged_bessel_zeros`` sorts the
-  shipped zeros of all orders once, up to ``j_{64,1}``.  ``scipy.special`` is
-  imported on first use (an Airy-zero call, or a zero past the shipped
-  prefix), so the Airy-function, quadrature and shipped-zero paths never load
-  scipy.  Each shipped table is read on its first use, not at import.
+* Bessel zeros: the first 100 zeros of every order ``m <= 64``
+  (``scipy.special.jn_zeros``) ship with the package in ``_jn_zeros.npy``;
+  ``bessel_zero`` reads them behind the order and index caps, and
+  ``merged_bessel_zeros`` sorts those of all orders once, up to ``j_{64,1}``.
+  ``scipy.special`` is imported on an Airy-zero call only, so the
+  Airy-function, quadrature and Bessel-zero paths never load scipy.  Each
+  shipped table is read on its first use, not at import.
 
 Relative-error statements for the oscillatory regimes are with respect to the
 local envelope (any fixed-precision value has unbounded relative error at a
@@ -67,7 +66,7 @@ TOLERANCES = {
 }
 
 MAX_BESSEL_ORDER = 64
-MAX_BESSEL_ZERO_INDEX = 1000
+MAX_BESSEL_ZERO_INDEX = 100
 
 MAX_CALL_POINTS = 1 << 15   # caps integrate() only
 
@@ -288,28 +287,15 @@ def _shipped_zero(m: int, k: int):
 _DEFAULT_ZEROS = SimpleNamespace(get=_shipped_zero)
 
 
-@cache
-def _deep_zeros(m: int) -> np.ndarray:
-    """``jn_zeros(m, MAX_BESSEL_ZERO_INDEX)``, computed once per order."""
-    import scipy.special
-    return scipy.special.jn_zeros(m, MAX_BESSEL_ZERO_INDEX)
-
-
 def bessel_zero(m: int, k: int) -> float:
-    """k-th positive zero of ``J_m`` to ``1e-10`` absolute (``m <= 64``, ``k <= 1000``).
-
-    The value is ``scipy.special.jn_zeros(m, k)[-1]``: row ``m`` of the shipped
-    table for ``k <= 100``, else the k-th of ``jn_zeros(m, 1000)``, which
-    begins with the same zeros whatever the count.
-    """
+    """k-th positive zero of ``J_m`` (``m <= 64``, ``k <= 100``): ``jn_zeros(m, k)[-1]``, shipped."""
     m = int(m)
     k = int(k)
     if m < 0 or m > MAX_BESSEL_ORDER:
         raise UnsupportedOrderError(f"order {m} outside supported range 0..{MAX_BESSEL_ORDER}")
     if k < 1 or k > MAX_BESSEL_ZERO_INDEX:
         raise UnsupportedOrderError(f"zero index {k} outside supported range 1..{MAX_BESSEL_ZERO_INDEX}")
-    zero = _shipped_zero(m, k)
-    return zero if zero is not None else float(_deep_zeros(m)[k - 1])
+    return _shipped_zero(m, k)
 
 
 @cache

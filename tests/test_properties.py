@@ -15,8 +15,7 @@ log-uniform over [1e-2, 1e6].  Levels n <= 20 meet mpmath's roots for F
 log-uniform over [1e-12, 1e-3] (pi/d)^3 or F*d^3 over [1e-2, 1e4], and the
 ground wall values their Airy limits for F*d^3 log-uniform over [1e8, 1e200].
 Bessel zeros are read in random order from up to three orders m <= 64, at
-indices k <= 300, so one table is filled both from the shipped prefix
-(k <= 100) and from scipy.  CLI invocations take the benchmark's ranges:
+indices k <= 100, the shipped table.  CLI invocations take the benchmark's ranges:
 d in {1, pi}, F = 0 or log-uniform over [1e-2, 1e4] for ``levels`` and over
 [1e-2, 1] for the other commands, ``bracket`` radii log-uniform over
 [0.5, 100] (past 82.8 at d = pi it exits 1), ``threshold`` indices 1..30,
@@ -239,14 +238,13 @@ def test_strong_field_certificate_has_the_airy_limit_slope(u, d, a):
 @PROPERTY
 @given(data=st.data())
 def test_bessel_zero_is_scipys_in_any_access_order(data):
-    # A zero is scipy's whether the shipped prefix or the per-order
-    # jn_zeros(m, 1000) holds it, so no access order can change it.
+    # Every zero is read from the shipped table, k <= 100, and is scipy's
+    # whatever the order of the reads.
     orders = data.draw(st.lists(st.integers(0, specfun.MAX_BESSEL_ORDER),
                                 min_size=1, max_size=3, unique=True))
     reads = data.draw(st.lists(st.tuples(st.sampled_from(orders),
                                          st.integers(1, specfun.MAX_BESSEL_ZERO_INDEX)),
                                min_size=1, max_size=12))
-    specfun._deep_zeros.cache_clear()
     for m, k in reads:
         assert specfun.bessel_zero(m, k) == float(jn_zeros(m, k)[k - 1])
 

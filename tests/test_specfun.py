@@ -282,28 +282,7 @@ def test_bessel_order_and_index_caps():
     with pytest.raises(specfun.UnsupportedOrderError):
         specfun.bessel_zero(65, 1)
     with pytest.raises(specfun.UnsupportedOrderError):
-        specfun.bessel_zero(0, 1001)
-
-
-def test_deep_zeros_call_jn_zeros_once_per_order(monkeypatch):
-    # Indices up to 100 are read from the shipped table; deeper ones from one
-    # jn_zeros(m, 1000) per order, whatever the order of the reads.
-    real = scipy.special.jn_zeros
-    calls = []
-
-    def counting(m, n):
-        calls.append((m, n))
-        return real(m, n)
-
-    monkeypatch.setattr(scipy.special, "jn_zeros", counting)
-    specfun._deep_zeros.cache_clear()
-    shallow = [specfun.bessel_zero(m, k) for m in (0, 3, 64) for k in (1, 57, 100)]
-    assert calls == []
-    assert shallow == [float(real(m, k)[-1]) for m in (0, 3, 64) for k in (1, 57, 100)]
-    reads = [(3, 150), (5, 1000), (3, 101), (5, 200), (3, 1000), (3, 2)]
-    deep = [specfun.bessel_zero(m, k) for m, k in reads]
-    assert calls == [(3, 1000), (5, 1000)]
-    assert deep == [float(real(m, k)[-1]) for m, k in reads]
+        specfun.bessel_zero(0, 101)
 
 
 def test_tracer_zero_reader_never_raises():
