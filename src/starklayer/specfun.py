@@ -216,9 +216,15 @@ def airy_phase(x):
     n = np.hypot(aip * e, bip)
     neg = x < -_CUT
     root = np.sqrt(np.maximum(-x, 0.0))
-    psi = np.where(neg, 0.0, (2.0 / 3.0) * root ** 3)
-    b = np.mod(np.arctan2(bi, ai * e) - math.pi / 4 + psi + math.pi, 2.0 * math.pi) - math.pi
-    c = np.mod(np.arctan2(bip, aip * e) - 3 * math.pi / 4 + psi + math.pi, 2.0 * math.pi) - math.pi
+    # (Ai, Bi) turned back by the leading phase in extended precision, so
+    # that b is the angle of a vector near the real axis, not a difference.
+    psi = 2 * np.sqrt(np.maximum(-x, 0.0).astype(np.longdouble)) ** 3 / 3
+
+    def remainder(u, v, lead):
+        cs, sn = np.cos(lead - psi), np.sin(lead - psi)
+        return np.arctan2(v * cs - u * sn, u * cs + v * sn).astype(np.float64)
+    b = remainder(ai * e, bi, _PI_LD / 4)
+    c = remainder(aip * e, bip, 3 * _PI_LD / 4)
     with np.errstate(over="ignore"):   # m, n past 1e154 give slopes of 0
         db = e / (math.pi * m * m) - root
         dc = -x * e / (math.pi * n * n) - root

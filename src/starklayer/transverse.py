@@ -52,6 +52,7 @@ MIN_WIDTH, MAX_WIDTH = 1e-100, 1e100
 _XTOL = 1e-300
 _RTOL = 8.9e-16
 _MAX_REFINE = 200
+_PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 
 
 class SolverError(RuntimeError):
@@ -71,6 +72,8 @@ class WaveguideParams:
             raise ValueError("field intensity F must be finite and >= 0")
         if not MIN_WIDTH <= self.d <= MAX_WIDTH:
             raise ValueError(f"layer width d must be in [{MIN_WIDTH:g}, {MAX_WIDTH:g}]")
+        if self.F > 0.0 and self.F * self.d ** 3 == 0.0:   # the field enters through F d^3
+            raise ValueError(f"field F={self.F!r} at d={self.d!r}: F*d^3 underflows to 0")
         if not (math.isfinite(self.a) and self.a >= 0.0):
             raise ValueError("window radius a must be finite and >= 0")
 
@@ -114,15 +117,21 @@ def _far_wall(params: WaveguideParams, lam: float, z, derivative: bool):
 
 
 def _lead(F: float, lam, z, d: float):
-    """``psi(zeta) - psi(zeta_d)``, ``psi = (2/3) max(-zeta, 0)^(3/2)``, for ``lam >= F z``.
+    """``psi(zeta) - psi(zeta_d)`` and its lam-derivative, ``psi = (2/3) max(-zeta, 0)^(3/2)``.
 
-    ``(2/3) (A^(3/2) - B^(3/2)) / F`` with ``A = lam - F z``, ``B = max(lam - F d, 0)``,
-    written with positive terms only, so it keeps full accuracy in weak fields.
+    ``(2/3) (A^(3/2) - B^(3/2)) / F`` and ``(p - q) / F`` with ``A = lam - F z >= 0``,
+    ``B = max(lam - F d, 0)``, ``p = sqrt(A)``, ``q = sqrt(B)``: as
+    ``A - B = F m``, ``m = min(d - z, A/F)``, they are
+    ``m ((p + q)/2 + (F m)^2 / (6 (p + q)^3))`` and ``m / (p + q)``, with
+    positive terms only, so they keep full accuracy in weak fields.  The phase
+    is in extended precision, as it is compared with ``k_n d`` up to ``100 pi``.
     """
-    a = lam - F * z
-    b = np.maximum(lam - F * d, 0.0)
-    ra, rb = np.sqrt(a), np.sqrt(b)
-    return (2.0 / 3.0) * np.minimum(d - z, a / F) * (a + ra * rb + b) / np.maximum(ra + rb, 1e-300)
+    a = lam - np.longdouble(F) * z
+    p, q = np.sqrt(a), np.sqrt(np.maximum(lam - np.longdouble(F) * d, 0.0))
+    with np.errstate(over="ignore"):   # a / F overflows only where d - z is the smaller
+        m = np.minimum(d - z, a / F)
+    s = np.maximum(p + q, 1e-300)
+    return m * (0.5 * s + (F * m) ** 2 / (6.0 * s ** 3)), (m / s).astype(np.float64)
 
 
 def _phase(params: WaveguideParams, bc: BoundaryType, lam: np.ndarray, n):
@@ -138,9 +147,8 @@ def _phase(params: WaveguideParams, bc: BoundaryType, lam: np.ndarray, n):
     k = lam.size
     nd = bc is BoundaryType.NEUMANN_DIRICHLET
     rem, slope = (c, dc) if nd else (b, db)
-    miss = _lead(F, lam, 0.0, d) + b[:k] - rem[k:] - (n - 0.5 * nd) * math.pi
-    # d/dlam (psi_0 - psi_d) = (sqrt(lam) - sqrt(max(lam - F d, 0))) / F
-    dlead = np.minimum(d, lam / F) / (np.sqrt(lam) + np.sqrt(np.maximum(lam - F * d, 0.0)))
+    lead, dlead = _lead(F, lam, 0.0, d)
+    miss = (lead - (n - 0.5 * nd) * _PI_LD).astype(np.float64) + (b[:k] - rem[k:])
     return miss, dlead - (db[:k] - slope[k:]) / w ** 2, m[:k]
 
 
@@ -167,7 +175,7 @@ def _roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]
         i = bad[0]
         raise SolverError(f"level {i + 1} is not bracketed by [{a[i]}, {b[i]}]: the phase "
                           f"misses {fa[i]:.3g} and {fb[i]:.3g} (F={F}, d={d}, bc={bc.value})")
-    x = a.copy()
+    ga, gb = fa.copy(), fb.copy()   # the misses at a and b, never halved
     side = np.zeros(count, dtype=np.int8)   # -1: b moved last, +1: a moved last
     todo = np.arange(count)
     for _ in range(_MAX_REFINE):
@@ -183,18 +191,20 @@ def _roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]
         fc = _phase(params, bc, c, n[todo])[0]
         on_hi = np.sign(fc) == np.sign(fhi)
         on_lo = ~on_hi & (fc != 0.0)
-        x[todo] = c
-        a[todo] = np.where(on_lo, c, lo)
-        b[todo] = np.where(on_hi, c, hi)
+        a[todo] = np.where(on_hi, lo, c)   # an exact zero closes the bracket on c
+        b[todo] = np.where(on_lo, hi, c)
+        ga[todo] = np.where(on_hi, ga[todo], fc)
+        gb[todo] = np.where(on_lo, gb[todo], fc)
         fa[todo] = np.where(on_lo, fc, np.where(on_hi & (last == -1), 0.5 * flo, flo))
         fb[todo] = np.where(on_hi, fc, np.where(on_lo & (last == 1), 0.5 * fhi, fhi))
         side[todo] = np.where(on_hi, -1, np.where(on_lo, 1, last))
-        done = (fc == 0.0) | (b[todo] - a[todo] < _XTOL + _RTOL * np.abs(c))
+        done = b[todo] - a[todo] < _XTOL + _RTOL * np.abs(c)
         todo = todo[~done]
     if todo.size:
         raise SolverError(f"root refinement left {todo.size} brackets open after {_MAX_REFINE} "
                           f"rounds (F={F}, d={d}, bc={bc.value})")
-    return x.tolist()
+    # The last secant on the true misses places the root inside the final bracket.
+    return (a - ga * (b - a) / np.where(a < b, gb - ga, 1.0)).tolist()
 
 
 @lru_cache(maxsize=128)
@@ -219,14 +229,15 @@ def _scale(F: float, d: float, level: TransverseLevel) -> float:
 def _phase_form(params: WaveguideParams, level: TransverseLevel, z: np.ndarray, derivative: bool):
     """``y e^{-xi_d}`` or its z-derivative for ``lam >= F d``, in the phase form, from one call.
 
-    ``m_d M sin(theta_d - theta)``, or ``-F^(1/3) m_d N cos(theta_d - phi - pi/2)``.
+    ``m_d M sin(theta_d - theta)``, or ``F^(1/3) m_d N sin(theta_d - phi)``.
     """
     F, d, lam = params.F, params.d, level.lam
     w = F ** (1.0 / 3.0)
     zs = z.ravel()
     m, n, b, c, _, _ = specfun.airy_phase(np.concatenate(([w * d], w * zs)) - lam / w ** 2)
-    lead = _lead(F, lam, zs, d) + b[0]
+    lead = _lead(F, lam, zs, d)[0] + b[0]
     out = -w * n[1:] * np.cos(lead - c[1:]) if derivative else m[1:] * np.sin(lead - b[1:])
+    out = out.astype(np.float64)
     return (m[0] * out).reshape(z.shape)
 
 

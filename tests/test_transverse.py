@@ -50,6 +50,18 @@ def test_layer_width_range():
             WaveguideParams(F=0.0, d=d)
 
 
+def test_field_whose_f_d_cubed_underflows_is_refused():
+    # The field enters the transverse problem only through F d^3; where that
+    # rounds to 0 the Airy arguments -lam/F^(2/3) overflow.  The smallest
+    # representable F d^3 is solved, and both extremes of F at d = 1.
+    with pytest.raises(ValueError, match=r"F\*d\^3 underflows to 0"):
+        WaveguideParams(F=1e-200, d=1e-100)
+    for F, d in ((5e-324 / 1e-300, 1e-100), (5e-324, 1.0), (1e308, 1.0)):
+        p = WaveguideParams(F=F, d=d)
+        lam = [lvl.lam for lvl in transverse.levels(p, ND, 100)]
+        assert all(math.isfinite(v) for v in lam) and all(a < b for a, b in zip(lam, lam[1:]))
+
+
 def test_field_free_closed_forms():
     p = WaveguideParams(F=0.0, d=PI)
     dd = [lvl.lam for lvl in transverse.levels(p, DD, 3)]
