@@ -216,15 +216,11 @@ def airy_phase(x):
     n = np.hypot(aip * e, bip)
     neg = x < -_CUT
     root = np.sqrt(np.maximum(-x, 0.0))
-    # (Ai, Bi) turned back by the leading phase in extended precision, so
-    # that b is the angle of a vector near the real axis, not a difference.
-    psi = 2 * np.sqrt(np.maximum(-x, 0.0).astype(np.longdouble)) ** 3 / 3
-
-    def remainder(u, v, lead):
-        cs, sn = np.cos(lead - psi), np.sin(lead - psi)
-        return np.arctan2(v * cs - u * sn, u * cs + v * sn).astype(np.float64)
-    b = remainder(ai * e, bi, _PI_LD / 4)
-    c = remainder(aip * e, bip, 3 * _PI_LD / 4)
+    # (Ai, Bi) turned back by the leading phase in long double, so that b is
+    # the angle of a vector near the real axis, not a difference of angles.
+    turn = np.exp(1j * (2 * np.sqrt(np.maximum(-x, 0.0).astype(np.longdouble)) ** 3 / 3))
+    b = np.angle((ai * e + 1j * bi) * turn * np.exp(-0.25j * _PI_LD)).astype(np.float64)
+    c = np.angle((aip * e + 1j * bip) * turn * np.exp(-0.75j * _PI_LD)).astype(np.float64)
     with np.errstate(over="ignore"):   # m, n past 1e154 give slopes of 0
         db = e / (math.pi * m * m) - root
         dc = -x * e / (math.pi * n * n) - root

@@ -119,12 +119,9 @@ def _far_wall(params: WaveguideParams, lam: float, z, derivative: bool):
 def _lead(F: float, lam, z, d: float):
     """``psi(zeta) - psi(zeta_d)`` and its lam-derivative, ``psi = (2/3) max(-zeta, 0)^(3/2)``.
 
-    ``(2/3) (A^(3/2) - B^(3/2)) / F`` and ``(p - q) / F`` with ``A = lam - F z >= 0``,
-    ``B = max(lam - F d, 0)``, ``p = sqrt(A)``, ``q = sqrt(B)``: as
-    ``A - B = F m``, ``m = min(d - z, A/F)``, they are
-    ``m ((p + q)/2 + (F m)^2 / (6 (p + q)^3))`` and ``m / (p + q)``, with
-    positive terms only, so they keep full accuracy in weak fields.  The phase
-    is in extended precision, as it is compared with ``k_n d`` up to ``100 pi``.
+    ``(2/3) (p^3 - q^3) / F`` and ``(p - q) / F`` with ``p^2 = lam - F z``,
+    ``q^2 = max(lam - F d, 0)``, written in positive terms of
+    ``m = (p^2 - q^2) / F``, so exact in weak fields; the phase in long double.
     """
     a = lam - np.longdouble(F) * z
     p, q = np.sqrt(a), np.sqrt(np.maximum(lam - np.longdouble(F) * d, 0.0))
@@ -155,13 +152,13 @@ def _phase(params: WaveguideParams, bc: BoundaryType, lam: np.ndarray, n):
 def _roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]:
     """Levels 1..count for ``F > 0``, each refined in its min-max bracket, all in lockstep.
 
-    ``k^2 < lam < (k d/L)^2 + F L`` for ``0 < L <= d``; ``L = (2 (k d)^2/F)^(1/3)``
-    minimizes the bound.  Both ends are pulled out by 16 ``_RTOL``, so that
-    one within rounding of its root (``F d^3`` below about 1e-13) still
-    brackets it.  The Illinois method (Dowell & Jarratt, BIT 11, 1971) is
-    regula falsi that halves the value kept at an endpoint which stays put
-    twice in a row, with bisection for a secant point outside its bracket,
-    until the bracket is narrower than ``_XTOL + _RTOL * |x|`` (brentq's test).
+    ``k^2 < lam < (k d/L)^2 + F L`` for ``0 < L <= d``, least at
+    ``L = (2 (k d)^2/F)^(1/3)``; both ends are pulled out by 16 ``_RTOL`` so
+    that one within rounding of its root (``F d^3`` below about 1e-10) still
+    brackets it.  Illinois (Dowell & Jarratt, BIT 11, 1971): regula falsi that
+    halves the value kept at an endpoint which stays put twice in a row, with
+    bisection for a secant point outside its bracket, until the bracket is
+    narrower than ``_XTOL + _RTOL * |x|`` (brentq's test).
     """
     F, d = params.F, params.d
     n = np.arange(1, count + 1)
