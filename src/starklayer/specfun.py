@@ -89,15 +89,16 @@ class QuadratureError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def _clenshaw(coef, piece, t):
-    """(n, k) sums ``sum_j c_j T_j(t)`` over rows ``piece`` of the (pieces, degree, k) table ``coef``.
+def _clenshaw(piece, t):
+    """(n, 4) sums ``sum_k c_k T_k(t)`` over the shipped table's rows ``piece``.
 
-    One recurrence evaluates all ``k`` functions of every point, reading one
+    One recurrence evaluates all four functions of every point, reading one
     degree of coefficients per step.
     """
+    coef = _shipped("_airy_cheb.npy")
     t = t[:, None]
-    b1 = np.zeros((t.size, coef.shape[2]))
-    b2 = np.zeros((t.size, coef.shape[2]))
+    b1 = np.zeros((t.size, 4))
+    b2 = np.zeros((t.size, 4))
     for k in range(coef.shape[1] - 1, -1, -1):
         # b_k = c_k + 2 t b_{k+1} - b_{k+2}, written over b_{k+2}; the value
         # sum c_k T_k(t) is the last step, which takes t for 2 t.
@@ -109,7 +110,7 @@ def _clenshaw(coef, piece, t):
 
 @cache
 def _far_phase_rows() -> np.ndarray:
-    """The x < -8 piece's two phase rows and their t-derivatives, as a (1, degree, 4) table.
+    """The x < -8 piece's two phase rows and their t-derivatives, as a (degree, 4) table.
 
     ``d_{k-1} = d_{k+1} + 2 k c_k``, then ``d_0`` halved: the table's sum convention.
     """
@@ -118,7 +119,7 @@ def _far_phase_rows() -> np.ndarray:
     for k in range(c.shape[0] - 1, 0, -1):
         d[k - 1] = d[k + 1] + 2.0 * k * c[k]
     d[0] *= 0.5
-    return np.concatenate((c, d[:-1]), axis=1)[None]
+    return np.concatenate((c, d[:-1]), axis=1)
 
 
 def airy_grid(x):
@@ -151,7 +152,7 @@ def airy_grid(x):
     piece[near] = p = (np.minimum(np.floor(xs), _CUT - 1.0) + _CUT).astype(np.intp)
     t[near] = 2.0 * (xs - (p - (_CUT - 0.5)))
     t[far] = 2.0 * (_CUT / np.abs(x[far])) ** 1.5 - 1.0
-    a, ap, b, bp = _clenshaw(_shipped("_airy_cheb.npy"), piece, t).T
+    a, ap, b, bp = _clenshaw(piece, t).T
 
     ai = np.empty_like(x)
     aip = np.empty_like(x)
@@ -226,7 +227,8 @@ def airy_phase(x):
         dc = -x * e / (math.pi * n * n) - root
     s = -x[neg]
     t = 2.0 * (_CUT / s) ** 1.5 - 1.0
-    rows = _clenshaw(_far_phase_rows(), 0, t)
+    coef = _far_phase_rows()   # one piece, so T_k(t) = cos(k arccos t) as one product
+    rows = np.cos(np.arccos(t)[:, None] * np.arange(coef.shape[0])) @ coef
     b[neg], c[neg] = rows[:, 0], rows[:, 1]
     db[neg], dc[neg] = (rows[:, 2:] * (1.5 * (t + 1.0) / s)[:, None]).T
     return m, n, b, c, db, dc
