@@ -285,8 +285,8 @@ def fd_levels_oracle(params: WaveguideParams, bc: BoundaryType, count: int, node
     Dirichlet walls drop the boundary node; the Neumann wall keeps it with a
     reflected ghost (equivalently, half trapezoid mass), symmetrized by the
     diagonal similarity.  Computed by LAPACK bisection on Sturm sequences.
-    Converges O(h^2) to :func:`levels`.  ``nodes`` is capped at 10^6 (tens of
-    MB of work arrays), and ``count`` at the unknowns.
+    Converges O(h^2) to :func:`levels`.  ``nodes`` is capped at 10^6 (about
+    0.1 GB of work space at the cap), and ``count`` at the unknowns.
     """
     nodes = int(nodes)
     if not 100 <= nodes <= 1_000_000:
