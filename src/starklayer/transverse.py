@@ -52,7 +52,6 @@ MIN_WIDTH, MAX_WIDTH = 1e-100, 1e100
 _XTOL = 1e-300
 _RTOL = 8.9e-16
 _MAX_REFINE = 200
-_PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 
 
 class SolverError(RuntimeError):
@@ -145,7 +144,7 @@ def _phase(params: WaveguideParams, bc: BoundaryType, lam: np.ndarray, n):
     nd = bc is BoundaryType.NEUMANN_DIRICHLET
     rem, slope = (c, dc) if nd else (b, db)
     lead, dlead = _lead(F, lam, 0.0, d)
-    miss = (lead - (n - 0.5 * nd) * _PI_LD).astype(np.float64) + (b[:k] - rem[k:])
+    miss = (lead - (n - 0.5 * nd) * specfun._PI_LD).astype(np.float64) + (b[:k] - rem[k:])
     return miss, dlead - (db[:k] - slope[k:]) / w ** 2, m[:k]
 
 
