@@ -47,9 +47,8 @@ BOUNDARY_RESIDUAL_TOL = 1e-8   # |Delta(lam) - k d|: the z = 0 wall's phase miss
 # Widths at which the first 100 field-free levels are normal floats.
 MIN_WIDTH, MAX_WIDTH = 1e-100, 1e100
 
-# A root is refined until its bracket is narrower than _XTOL + _RTOL * |x|
-# (about four ulp), in at most _MAX_REFINE rounds.
-_XTOL = 1e-300
+# A root is refined until its step is shorter than _RTOL * |x| (about four
+# ulp), in at most _MAX_REFINE rounds.
 _RTOL = 8.9e-16
 _MAX_REFINE = 200
 
@@ -154,10 +153,13 @@ def _roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]
     ``k^2 < lam < (k d/L)^2 + F L`` for ``0 < L <= d``, least at
     ``L = (2 (k d)^2/F)^(1/3)``; both ends are pulled out by 16 ``_RTOL`` so
     that one within rounding of its root (``F d^3`` below about 1e-10) still
-    brackets it.  Illinois (Dowell & Jarratt, BIT 11, 1971): regula falsi that
-    halves the value kept at an endpoint which stays put twice in a row, with
-    bisection for a secant point outside its bracket, until the bracket is
-    narrower than ``_XTOL + _RTOL * |x|`` (brentq's test).
+    brackets it.  Safeguarded Newton on the phase miss ``f = Delta - k d``
+    (``rtsafe``, Press et al., Numerical Recipes, 3rd ed., 9.4), started at
+    the secant point of the bracket ends: each round the sign of ``f`` moves
+    one end to the current point, and the step ``x - f/Delta'`` is taken where
+    it lands inside the bracket, ends included, else the bracket is bisected.
+    A level is done when ``f = 0`` or its step is shorter than ``_RTOL * |x|``;
+    the point after that step is returned.
     """
     F, d = params.F, params.d
     n = np.arange(1, count + 1)
@@ -171,36 +173,23 @@ def _roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]
         i = bad[0]
         raise SolverError(f"level {i + 1} is not bracketed by [{a[i]}, {b[i]}]: the phase "
                           f"misses {fa[i]:.3g} and {fb[i]:.3g} (F={F}, d={d}, bc={bc.value})")
-    ga, gb = fa.copy(), fb.copy()   # the misses at a and b, never halved
-    side = np.zeros(count, dtype=np.int8)   # -1: b moved last, +1: a moved last
+    x = b - fb * (b - a) / (fb - fa)
     todo = np.arange(count)
     for _ in range(_MAX_REFINE):
         if not todo.size:
             break
-        lo, hi, flo, fhi, last = a[todo], b[todo], fa[todo], fb[todo], side[todo]
-        c = hi - fhi * (hi - lo) / (fhi - flo)
-        # Stay half a tolerance inside the bracket, so that a secant point
-        # which rounds onto a converged endpoint still closes the bracket.
-        nudge = 0.5 * (_XTOL + _RTOL * np.abs(c))
-        c = np.minimum(np.maximum(c, lo + nudge), hi - nudge)
-        c = np.where((c > lo) & (c < hi), c, lo + 0.5 * (hi - lo))
-        fc = _phase(params, bc, c, n[todo])[0]
-        on_hi = np.sign(fc) == np.sign(fhi)
-        on_lo = ~on_hi & (fc != 0.0)
-        a[todo] = np.where(on_hi, lo, c)   # an exact zero closes the bracket on c
-        b[todo] = np.where(on_lo, hi, c)
-        ga[todo] = np.where(on_hi, ga[todo], fc)
-        gb[todo] = np.where(on_lo, gb[todo], fc)
-        fa[todo] = np.where(on_lo, fc, np.where(on_hi & (last == -1), 0.5 * flo, flo))
-        fb[todo] = np.where(on_hi, fc, np.where(on_lo & (last == 1), 0.5 * fhi, fhi))
-        side[todo] = np.where(on_hi, -1, np.where(on_lo, 1, last))
-        done = b[todo] - a[todo] < _XTOL + _RTOL * np.abs(c)
+        c = x[todo]
+        f, slope, _ = _phase(params, bc, c, n[todo])
+        lo = a[todo] = np.where(f < 0.0, c, a[todo])
+        hi = b[todo] = np.where(f > 0.0, c, b[todo])
+        newton = c - f / slope
+        x[todo] = np.where((lo <= newton) & (newton <= hi), newton, lo + 0.5 * (hi - lo))
+        done = (f == 0.0) | (np.abs(x[todo] - c) < _RTOL * np.abs(c))
         todo = todo[~done]
     if todo.size:
         raise SolverError(f"root refinement left {todo.size} brackets open after {_MAX_REFINE} "
                           f"rounds (F={F}, d={d}, bc={bc.value})")
-    # The last secant on the true misses places the root inside the final bracket.
-    return (a - ga * (b - a) / np.where(a < b, gb - ga, 1.0)).tolist()
+    return x.tolist()
 
 
 @lru_cache(maxsize=128)
