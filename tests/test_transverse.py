@@ -339,11 +339,15 @@ def airy_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("bc", [DD, ND])
-@pytest.mark.parametrize("d", [1.0, PI])
-@pytest.mark.parametrize("F", [1e-2, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("F, d", [(F, d) for F in (1e-6, 1e-2, 1.0, 1e2, 1e4, 1e8)
+                                  for d in (1.0, PI)]
+                         + [(kappa / d ** 3, d) for d in (1e-100, 1e100)
+                            for kappa in (1e-8, 1.0, 1e8)])
 def test_twenty_levels_airy_call_budget(airy_calls, F, d, bc):
+    # The bracket-end check and the Newton rounds, also at the extreme widths
+    # of test_layer_width_range.
     transverse.levels(WaveguideParams(F=F, d=d), bc, 20)
-    assert airy_calls[0] <= 64
+    assert airy_calls[0] <= 7
     assert airy_calls[1] <= 2000
 
 
@@ -352,7 +356,17 @@ def test_ground_levels_airy_call_budget(airy_calls):
     for F in (0.1, 1.0, 10.0):
         for bc in (DD, ND):
             transverse.levels(WaveguideParams(F=F, d=PI), bc, 1)
-    assert airy_calls[0] <= 102
+    assert airy_calls[0] <= 40
+
+
+@pytest.mark.parametrize("bc", [DD, ND])
+def test_refinement_cap_reports_open_levels(monkeypatch, bc):
+    # At F = 1e4 the wide min-max brackets take more than one Newton round.
+    monkeypatch.setattr(transverse, "_MAX_REFINE", 1)
+    with pytest.raises(transverse.SolverError,
+                       match=rf"root refinement left \d+ brackets open after 1 rounds "
+                             rf"\(F=10000\.0, d=1\.0, bc={bc.value}\)"):
+        transverse.levels(WaveguideParams(F=1e4, d=1.0), bc, 20)
 
 
 @pytest.mark.parametrize("bc", [DD, ND])
@@ -430,7 +444,7 @@ def test_chi_warns_no_overflow_and_matches_masked_reference(F, d, bc):
 
 
 @pytest.mark.parametrize("bc", [DD, ND])
-@pytest.mark.parametrize("F", [1e-2, 1.0, 1e4])
+@pytest.mark.parametrize("F", [1e-2, 1.0, 1e4, 1e8])
 def test_lockstep_roots_match_scalar_reference(F, bc):
     # Against each root alone, found by mpmath on the phase equation.
     p = WaveguideParams(F=F, d=1.0)
