@@ -170,13 +170,16 @@ def figure_curves(params: WaveguideParams, a_min: float, a_max: float,
                   steps: int, i_max: int = 3) -> FigureCurves:
     """Rows ``(a, (x(i)/a)^2 + lower ... , edge)`` over a uniform radius sweep.
 
-    Refuses an ``a_min`` so small that a curve overflows (``ValueError``).
+    Refuses an ``a_min`` so small that a curve overflows, and more than 200000
+    curve values ``steps * i_max`` before any work (``ValueError``).
     """
     if not (0.0 < a_min < a_max < math.inf):
         raise ValueError("need 0 < a_min < a_max < inf")
     steps = int(steps)
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    if steps * int(i_max) > 200_000:
+        raise ValueError(f"steps * i_max = {steps * int(i_max)} exceeds 200000 curve values")
     win = window(params)
     xs = np.array(sorted_bessel_zeros(int(i_max)))
     a = np.linspace(a_min, a_max, steps)

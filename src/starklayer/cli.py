@@ -179,12 +179,12 @@ def _cmd_solve2d(config: RunConfig):
     params = config.params()
     kind = _PROBLEM_NAMES[config.options["problem"]]
     m = config.options["m"]
+    bc = fd2d.WindowBC(kind, m)
     win = bracket.window(params)
     window_problem = kind is fd2d.BCKind.TRUNCATED_FULL
     grid = fd2d.CylGrid(config.options["nr"], config.options["nz"],
                         8.0 * params.a if window_problem else params.a, params.d)
-    res = fd2d.lowest_eigs(fd2d.assemble(params, grid, fd2d.WindowBC(kind, m)),
-                           config.options["k"])
+    res = fd2d.lowest_eigs(fd2d.assemble(params, grid, bc), config.options["k"])
     header = ["k", "lambda", "residual"]
     rows = [(i + 1, v, r) for i, (v, r) in enumerate(zip(res.values, res.residuals))]
     if window_problem:

@@ -7,7 +7,7 @@ similarity by the square root of the node weights ``w = r_i h_r h_z`` (half
 weight on the Neumann bottom row) the operator is the Kronecker sum
 ``T = A_r (x) I + I (x) A_z`` of two symmetric tridiagonal factors: the radial
 flux form with ``m^2/r^2`` (and the side-wall term for a Dirichlet wall), and
-the vertical flux form with ``F z`` (top node eliminated).
+``A_z = transverse._fd_operator``, the FD oracle's matrix (top node eliminated).
 
 Three boundary setups: the inner cylinder of radius a with Dirichlet or
 Neumann side wall (validating the analytic brackets from both sides), and the
@@ -51,7 +51,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bracket import SpectralWindow, window
-from .transverse import WaveguideParams
+from .specfun import MAX_BESSEL_ORDER
+from .transverse import WaveguideParams, _fd_operator
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -128,14 +129,14 @@ class BCKind(enum.Enum):
 
 @dataclass(frozen=True)
 class WindowBC:
-    """Boundary setup plus angular order m of the Fourier sector."""
+    """Boundary setup plus angular order m of the Fourier sector, ``0 <= m <= 64``."""
 
     kind: BCKind
     m: int = 0
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("angular order m must be >= 0")
+        if not 0 <= self.m <= MAX_BESSEL_ORDER:
+            raise ValueError(f"angular order m must be in 0..{MAX_BESSEL_ORDER}")
 
 
 @dataclass
@@ -199,9 +200,9 @@ def _radial_factor(nr: int, bc: WindowBC):
 def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperator:
     """Assemble the similarity-scaled symmetric matrix for the requested setup.
 
-    The 1-D factors and their Kronecker sum, one 5-diagonal matrix, less the
-    bottom nodes outside the window for the window kind (see the module
-    docstring).
+    The 1-D factors, the vertical one ``transverse._fd_operator``, and their
+    Kronecker sum, less the bottom nodes outside the window for the window
+    kind (see the module docstring).
     """
     if bc.kind is BCKind.TRUNCATED_FULL:
         if params.a <= 0.0:
@@ -212,20 +213,9 @@ def assemble(params: WaveguideParams, grid: CylGrid, bc: WindowBC) -> CylOperato
         if not math.isclose(grid.r_max, params.a, rel_tol=1e-12):
             raise ValueError("inner-cylinder problems require r_max == a")
 
-    nr, nz = grid.nr, grid.nz
-    h_z = grid.h_z
-    z = grid.z_nodes[:nz]
-    h2 = grid.h_r ** 2
-    r_diag, r_off = (x / h2 for x in _radial_factor(nr, bc))
-
-    wz = np.ones(nz)
-    wz[0] = 0.5                                  # trapezoid mass on the Neumann row
-    faces = np.full(nz, 2.0)
-    faces[0] = 1.0                               # no face below the bottom row
-    z_diag = faces / (h_z * h_z * wz) + params.F * z
-    z_off = -1.0 / (h_z * h_z * np.sqrt(wz[:-1] * wz[1:]))
-
-    active = np.ones((nr, nz), dtype=bool)
+    r_diag, r_off = (x / grid.h_r ** 2 for x in _radial_factor(grid.nr, bc))
+    z_diag, z_off = _fd_operator(params.F, grid.d, grid.nz)
+    active = np.ones((grid.nr, grid.nz), dtype=bool)
     if bc.kind is BCKind.TRUNCATED_FULL:
         active[grid.r_nodes > params.a, 0] = False   # bottom outside the window: Dirichlet
 

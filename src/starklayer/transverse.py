@@ -2,7 +2,8 @@
 
 Exact eigenvalues for the pure-Dirichlet case (window radius 0) and the
 Neumann-Dirichlet case (infinite window), a symmetric finite-difference
-oracle, and the weak/strong-field closed-form estimates.
+oracle (its matrix is the 2-D solver's vertical factor), and the
+weak/strong-field closed-form estimates.
 
 Both walls use ``y = Bi(zeta_d) Ai(zeta) - Ai(zeta_d) Bi(zeta)``, which
 vanishes at ``z = d`` (``zeta = F^(1/3) z - lam/F^(2/3)``).  In the Airy phases
@@ -86,7 +87,7 @@ class TransverseLevel:
     """The ``n``-th transverse eigenvalue ``lam`` for the walls ``bc``.
 
     Its eigenfunction is read through :func:`chi` and :func:`chi_prime`,
-    which normalize it on first use.
+    which normalize it on each call.
     """
 
     n: int
@@ -94,11 +95,14 @@ class TransverseLevel:
     lam: float
 
 
+def _offset(bc: BoundaryType) -> float:
+    """Index offset of the walls, 1/2 for a Neumann bottom: ``k_n = (n - offset) pi/d``."""
+    return 0.5 * (bc is BoundaryType.NEUMANN_DIRICHLET)
+
+
 def _trig_lam(d: float, bc: BoundaryType, n: int) -> float:
     """Field-free level ``k_n^2``: ``k_n = n pi/d`` (DD) or ``(n - 1/2) pi/d`` (ND)."""
-    if bc is BoundaryType.DIRICHLET_DIRICHLET:
-        return (n * math.pi / d) ** 2
-    return ((2 * n - 1) * math.pi / (2.0 * d)) ** 2
+    return ((n - _offset(bc)) * math.pi / d) ** 2
 
 
 def _far_wall(params: WaveguideParams, lam: float, z, derivative: bool):
@@ -140,10 +144,9 @@ def _phase(params: WaveguideParams, bc: BoundaryType, lam: np.ndarray, n):
     zeta_0 = -lam / w ** 2
     m, _, b, c, db, dc = specfun.airy_phase(np.concatenate((w * d + zeta_0, zeta_0)))
     k = lam.size
-    nd = bc is BoundaryType.NEUMANN_DIRICHLET
-    rem, slope = (c, dc) if nd else (b, db)
+    rem, slope = (c, dc) if bc is BoundaryType.NEUMANN_DIRICHLET else (b, db)
     lead, dlead = _lead(F, lam, 0.0, d)
-    miss = (lead - (n - 0.5 * nd) * specfun._PI_LD).astype(np.float64) + (b[:k] - rem[k:])
+    miss = (lead - (n - _offset(bc)) * specfun._PI_LD).astype(np.float64) + (b[:k] - rem[k:])
     return miss, dlead - (db[:k] - slope[k:]) / w ** 2, m[:k]
 
 
@@ -163,7 +166,7 @@ def _roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]
     """
     F, d = params.F, params.d
     n = np.arange(1, count + 1)
-    k = (n - 0.5 * (bc is BoundaryType.NEUMANN_DIRICHLET)) * math.pi / d
+    k = (n - _offset(bc)) * math.pi / d
     L = np.minimum(d, np.cbrt(2.0 * (k * d) ** 2) / F ** (1.0 / 3.0))
     a = k * k * (1.0 - 16 * _RTOL)
     b = ((k * d / L) ** 2 + F * L) * (1.0 + 16 * _RTOL)
@@ -192,9 +195,8 @@ def _roots(params: WaveguideParams, bc: BoundaryType, count: int) -> list[float]
     return x.tolist()
 
 
-@lru_cache(maxsize=128)
 def _scale(F: float, d: float, level: TransverseLevel) -> float:
-    """Positive factor that gives ``level``'s ``y e^{-xi_d}`` unit L2 norm, memoized.
+    """Positive factor that gives ``level``'s ``y e^{-xi_d}`` unit L2 norm.
 
     ``sqrt(2/d)`` at ``F = 0``, else ``sqrt(pi / (F^(1/3) Delta')) / m_d``.
     Raises :class:`SolverError` when ``lam`` misses its phase equation by more
@@ -267,33 +269,39 @@ def levels(params: WaveguideParams, bc: BoundaryType, count: int) -> list[Transv
     return [TransverseLevel(n=n, bc=bc, lam=lam) for n, lam in enumerate(lams, start=1)]
 
 
+def _fd_operator(F: float, d: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(diag, off)`` of the central-difference ``-d^2/dz^2 + F z``, Neumann bottom.
+
+    Vertex nodes ``z_j = j h < d``, ``h = d/nodes`` (the top node eliminated);
+    half trapezoid mass ``w_0 = 1/2`` on the bottom row, symmetrized by
+    ``sqrt(w)``: couplings ``-1/(h^2 sqrt(w_j w_{j+1}))``.  A Dirichlet bottom
+    is this matrix less its first row and column.
+    """
+    h = d / nodes
+    diag = 2.0 / (h * h) + F * (np.arange(nodes) * h)
+    off = np.full(nodes - 1, -1.0 / (h * h))
+    off[0] = -1.0 / (h * h * math.sqrt(0.5))
+    return diag, off
+
+
 def fd_levels_oracle(params: WaveguideParams, bc: BoundaryType, count: int, nodes: int) -> list[float]:
     """Eigenvalues of the symmetric second-order central-difference discretization.
 
-    Dirichlet walls drop the boundary node; the Neumann wall keeps it with a
-    reflected ghost (equivalently, half trapezoid mass), symmetrized by the
-    diagonal similarity.  Computed by LAPACK bisection on Sturm sequences.
-    Converges O(h^2) to :func:`levels`.  ``nodes`` is capped at 10^6 (about
-    0.1 GB of work space at the cap), and ``count`` at the unknowns.
+    The matrix of :func:`_fd_operator`, the vertical factor of the 2-D
+    solver, less its bottom row for a Dirichlet bottom.  Computed by LAPACK
+    bisection on Sturm sequences.  Converges O(h^2) to :func:`levels`.
+    ``nodes`` is capped at 10^6 (about 0.1 GB of work space at the cap), and
+    ``count`` at the unknowns.
     """
     nodes = int(nodes)
     if not 100 <= nodes <= 1_000_000:
         raise ValueError(f"nodes must be in 100..1000000, got {nodes}")
     count = int(count)
-    unknowns = nodes - 1 if bc is BoundaryType.DIRICHLET_DIRICHLET else nodes
-    if count > unknowns:
-        raise ValueError(f"count {count} exceeds the {unknowns} unknowns of {nodes} nodes")
-    h = params.d / nodes
-    inv_h2 = 1.0 / (h * h)
+    diag, off = _fd_operator(params.F, params.d, nodes)
     if bc is BoundaryType.DIRICHLET_DIRICHLET:
-        z = h * np.arange(1, nodes)
-        diag = 2.0 * inv_h2 + params.F * z
-        off = np.full(nodes - 2, -inv_h2)
-    else:
-        z = h * np.arange(0, nodes)
-        diag = 2.0 * inv_h2 + params.F * z
-        off = np.full(nodes - 1, -inv_h2)
-        off[0] = -math.sqrt(2.0) * inv_h2
+        diag, off = diag[1:], off[1:]
+    if count > len(diag):
+        raise ValueError(f"count {count} exceeds the {len(diag)} unknowns of {nodes} nodes")
     from scipy.linalg import eigvalsh_tridiagonal
     vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
     return [float(v) for v in vals]
@@ -309,10 +317,7 @@ def asymptotic_weak(params: WaveguideParams, bc: BoundaryType, n: int) -> float:
     if n < 1:
         raise ValueError("level index must be >= 1")
     F, d = params.F, params.d
-    if bc is BoundaryType.DIRICHLET_DIRICHLET:
-        c = n * math.pi
-    else:
-        c = (2 * n - 1) * math.pi / 2.0
+    c = (n - _offset(bc)) * math.pi
     return ((c + math.sqrt(c * c + d ** 3 * F)) / (2.0 * d)) ** 2
 
 
@@ -327,10 +332,7 @@ def asymptotic_strong(params: WaveguideParams, bc: BoundaryType, n: int) -> floa
         raise ValueError("level index must be >= 1")
     if not params.F > 0.0:
         raise ValueError("strong-field estimate requires F > 0")
-    if bc is BoundaryType.DIRICHLET_DIRICHLET:
-        factor = 2.0 * n - 0.25
-    else:
-        factor = 2.0 * (n - 1) + 0.75
+    factor = 2.0 * (n - _offset(bc)) - 0.25
     return (1.5 * params.F * math.pi * factor) ** (2.0 / 3.0)
 
 

@@ -277,3 +277,12 @@ def test_figure_curves_validation():
     for a_max in (math.inf, math.nan):
         with pytest.raises(ValueError):
             bracket.figure_curves(p, 1.0, a_max, 3)
+
+
+def test_figure_curves_hold_up_to_the_value_cap():
+    # 200000 curve values, steps * i_max, are drawn; one more is refused.
+    p = WaveguideParams(F=0.0, d=PI)
+    for steps, i_max in ((200_000, 1), (313, 638)):
+        assert bracket.figure_curves(p, 1.0, 2.0, steps, i_max).curves.shape == (steps, i_max)
+    with pytest.raises(ValueError, match="steps \\* i_max = 200332 exceeds 200000 curve values"):
+        bracket.figure_curves(p, 1.0, 2.0, 314, 638)

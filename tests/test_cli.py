@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from starklayer import cli, fd2d, specfun, transverse
+from starklayer import bracket, cli, fd2d, specfun, transverse
 
 PI_STR = "3.141592653589793"
 
@@ -167,6 +167,33 @@ def test_sizes_past_their_caps_are_refused(capsys, argv, message):
     # --nodes 1e8 filled memory and --nr 1e5 would ask for 80 GB of dense
     # factors; a count past the unknowns surfaced scipy's own message.  Each
     # is refused at its cap + 1, by name, before any array of that size.
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+_FIGURE = ["figure", "--F", "0", "--d", "1", "--a-min", "1", "--a-max", "2"]
+_INNER = ["solve2d", "--F", "1", "--d", "1", "--a", "1", "--problem", "inner-dirichlet"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_FIGURE + ["--steps", "66667"],
+     "error: steps * i_max = 200001 exceeds 200000 curve values\n"),
+    (_FIGURE + ["--steps", "200001", "--i-max", "1"],
+     "error: steps * i_max = 200001 exceeds 200000 curve values\n"),
+    (_INNER + ["--m", "65"], "error: angular order m must be in 0..64\n"),
+    (_INNER + ["--m", "1" + "0" * 400], "error: angular order m must be in 0..64\n"),
+], ids=["figure-values", "figure-steps", "m", "m-huge"])
+def test_unbounded_sizes_exit_2_before_any_work(monkeypatch, capsys, argv, message):
+    # figure allocated steps x i_max curve values with no bound, and
+    # --m 10^400 ended in an OverflowError traceback from m^2 / r^2.  Both
+    # are refused at cap + 1, before either command computes the spectral
+    # window, its first work.
+    def no_work(params):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(bracket, "window", no_work)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -451,7 +478,6 @@ def test_output_does_not_depend_on_cache_state(capsys):
     levels_argv = ["levels", "--F", "3000", "--d", "1", "--bc", "dirichlet", "--count", "20"]
     certify_argv = ["certify", "--F", "1", "--d", "1", "--a", "1", "--format", "json"]
     transverse.ground_level.cache_clear()
-    transverse._scale.cache_clear()
     printed = []
     for argv in (levels_argv, certify_argv, certify_argv, levels_argv):
         assert cli.main(argv) == 0

@@ -93,6 +93,21 @@ def test_grid_spacing_range_keeps_squares_and_inverse_squares_finite():
         assert 0.0 < grid.h_r ** 2 < math.inf and 0.0 < grid.h_r ** -2 < math.inf
 
 
+@pytest.mark.parametrize("kind", list(fd2d.BCKind))
+@pytest.mark.parametrize("F, d, nz", [(0.0, PI, 8), (1.0, PI, 64), (94.0, 1.0, 33), (1e4, 2.5, 200)])
+def test_vertical_factor_is_the_transverse_fd_operator(F, d, nz, kind):
+    # One z operator for the 2-D solver and the FD oracle: the vertical factor
+    # and the spectral floor are the builder's matrix and its lowest
+    # eigenvalue, bit for bit.
+    p = WaveguideParams(F=F, d=d, a=1.0)
+    op = fd2d.assemble(p, fd2d.CylGrid(16, nz, 8.0 if kind is TF else 1.0, d), fd2d.WindowBC(kind))
+    diag, off = transverse._fd_operator(F, d, nz)
+    assert op.vertical[0].tobytes() == diag.tobytes()
+    assert op.vertical[1].tobytes() == off.tobytes()
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert op.spectral_floor == np.linalg.eigh(dense)[0][0]
+
+
 @pytest.mark.parametrize("kind,dirichlet_wall", [(ID, True), (IN, False)])
 def test_discrete_tensor_separability(kind, dirichlet_wall):
     """Inner-cylinder 2-D spectra are exact sums of radial and vertical FD modes."""

@@ -328,5 +328,4 @@ def test_cli_output_does_not_depend_on_cache_state(command, data):
     # same bytes and exit alike.
     argv = data.draw(_cli_argv(command))
     transverse.ground_level.cache_clear()
-    transverse._scale.cache_clear()
     assert _cli_main(argv) == _cli_main(argv)

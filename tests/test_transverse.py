@@ -112,6 +112,37 @@ def test_fd_oracle_caps_nodes_and_count():
     assert len(transverse.fd_levels_oracle(p, ND, 100, 100)) == 100
 
 
+@pytest.mark.parametrize("bc", [DD, ND])
+@pytest.mark.parametrize("F, d", [(0.0, 1.0), (1.0, PI), (94.0, 1.0), (1e4, PI)])
+@pytest.mark.parametrize("nodes", [100, 400])
+def test_fd_oracle_is_the_dense_spectrum_of_the_fd_operator(F, d, nodes, bc):
+    # The oracle bisects the one FD operator, less its bottom row for a
+    # Dirichlet bottom: its levels are the dense spectrum of that matrix.
+    p = WaveguideParams(F=F, d=d)
+    diag, off = transverse._fd_operator(F, d, nodes)
+    assert len(diag) == nodes and len(off) == nodes - 1
+    if bc is DD:
+        diag, off = diag[1:], off[1:]
+    dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:20]
+    assert np.allclose(transverse.fd_levels_oracle(p, bc, 20, nodes), dense, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("bc", [DD, ND])
+@pytest.mark.parametrize("F, d", [(0.0, PI), (1.0, 1.0), (94.0, 1.0)])
+def test_fd_operator_converges_at_second_order(F, d, bc):
+    # The builder's matrix itself, half-mass Neumann row included, against
+    # the exact levels: a quarter of the spacing divides each error by 16.
+    exact = np.array([lvl.lam for lvl in transverse.levels(WaveguideParams(F=F, d=d), bc, 3)])
+    errors = []
+    for nodes in (100, 400):
+        diag, off = transverse._fd_operator(F, d, nodes)
+        if bc is DD:
+            diag, off = diag[1:], off[1:]
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:3]
+        errors.append(np.abs(dense - exact))
+    assert np.allclose(errors[0] / errors[1], 16.0, atol=0.05)
+
+
 def test_mixed_below_dirichlet_ordering():
     for F in (0.0, 0.5, 1.0, 5.0, 50.0):
         for d in (1.0, PI):
@@ -376,7 +407,6 @@ def test_one_normalization_costs_one_airy_call_on_two_points(airy_calls, F, bc):
     # (lam >= F d) and on the far-wall form alike.
     p = WaveguideParams(F=F, d=1.0)
     for level in transverse.levels(p, bc, 3):
-        transverse._scale.cache_clear()
         airy_calls[:] = [0, 0]
         assert transverse._scale(F, 1.0, level) > 0.0
         assert airy_calls[0] <= 1 and airy_calls[1] <= 2
